@@ -8,7 +8,7 @@
    ablation-annotation ablation-gc ablation-cc-split ablation-preprocess
    ablation-probe-memo ablation-cc-routing ablation-exec-wakeup
    ablation-version-slabs ablation-cc-rebalance flash-crowd
-   latency-profile critical-path micro micro-slabs smoke)
+   latency-profile critical-path micro micro-slabs micro-sim smoke)
    to run a subset; --quick shrinks sweeps for smoke runs; --scale=F
    multiplies transaction counts; --json=PATH also writes every table of
    the run (with per-column throughput ceilings) as one JSON document. *)
@@ -32,6 +32,7 @@ let usage () =
   prerr_endline "  micro";
   prerr_endline
     "  micro-slabs (version-store chain-walk micro-benches only; fast)";
+  prerr_endline "  micro-sim (simulator host ns per scheduler step only; fast)";
   prerr_endline "  smoke   (fig4-config correctness gate; non-zero exit on loss)";
   prerr_endline
     "  sanitize (every engine under the full sanitizer suite; non-zero exit \
@@ -272,6 +273,7 @@ let () =
   let run_one name =
     if name = "micro" then Micro.run ()
     else if name = "micro-slabs" then Micro.run_version_store ()
+    else if name = "micro-sim" then Micro.run_sim_steps ()
     else if name = "smoke" then smoke ~scale:!scale ~sanitized:!sanitized
     else if name = "sanitize" then sanitize ~scale:!scale ~quick:!quick
     else

@@ -35,10 +35,10 @@ let heap_bench =
   Test.make ~name:"heap-push-pop(x64)"
     (Staged.stage (fun () ->
          let h = Heap.create () in
-         for _ = 1 to 64 do
-           Heap.push h ~priority:(Rng.int rng 1000) 0
+         for i = 1 to 64 do
+           Heap.push h ~priority:(Rng.int rng 1000) i
          done;
-         for _ = 1 to 64 do
+         while not (Heap.is_empty h) do
            ignore (Heap.pop h)
          done))
 
@@ -256,10 +256,52 @@ let print_charged_chain_walks () =
   print_endline "  hit per line of eight. The throughput figures use the model.";
   print_newline ()
 
+(* Host cost of one simulator step. Sixteen threads repeat one operation
+   in lockstep, so nearly every operation hands the CPU to the scheduler:
+   [relax] resumes a fiber for every relax, [relax_n 256] lets the
+   scheduler run the relaxes after the first yield itself, and [Cell.get]
+   on a shared line yields from inside a charged access. Host ns over
+   [Sim.steps], best of three runs. *)
+let sim_step_costs () =
+  let module Sim = Bohm_runtime.Sim in
+  let threads = 16 and ops = 32_768 in
+  let measure name op =
+    let once () =
+      let t0 = Unix.gettimeofday () in
+      Sim.run (fun () -> List.iter Sim.join (List.init threads (fun _ -> Sim.spawn op)));
+      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (Sim.steps ())
+    in
+    (name, List.fold_left (fun m _ -> Float.min m (once ())) infinity [ 1; 2; 3 ])
+  in
+  let line = Sim.Cell.make 0 in
+  [
+    measure "relax" (fun () ->
+        for _ = 1 to ops do
+          Sim.relax ()
+        done);
+    measure "relax_n(256)" (fun () ->
+        for _ = 1 to ops / 256 do
+          Sim.relax_n 256
+        done);
+    measure "cell-get(shared line)" (fun () ->
+        for _ = 1 to ops do
+          ignore (Sim.Cell.get line)
+        done);
+  ]
+
+let run_sim_steps () =
+  Bohm_harness.Report.header
+    ~title:"Simulator scheduler (16 threads, host ns per Sim step)";
+  List.iter
+    (fun (name, ns) -> Printf.printf "  %-36s %10.1f ns/step\n" name ns)
+    (sim_step_costs ());
+  print_newline ()
+
 let run () =
   run_tests ~title:"Component micro-benchmarks (real runtime, ns/op)"
     ~quota:0.5 tests;
-  print_charged_chain_walks ()
+  print_charged_chain_walks ();
+  run_sim_steps ()
 
 (* Fast tier-1 variant: just the version-store walks, short quota — a
    regression canary for the slab layout that rides along with

@@ -325,9 +325,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       let first = match ob with None -> 0 | Some _ -> R.now_ns () in
       let backoff = ref 1 in
       while not (run_attempt t stat ob ~first ~seq:!idx txns.(!idx)) do
-        for _ = 1 to !backoff do
-          R.relax ()
-        done;
+        R.relax_n !backoff;
         if !backoff < max_backoff then backoff := !backoff * 2
       done;
       idx := !idx + t.workers

@@ -38,6 +38,12 @@ let work n =
 
 let copy ~bytes = work (bytes / 8)
 let relax () = Domain.cpu_relax ()
+
+let relax_n n =
+  for _ = 1 to n do
+    Domain.cpu_relax ()
+  done
+
 let now () = Unix.gettimeofday ()
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 let without_cost f = f ()

@@ -93,6 +93,14 @@ module type S = sig
   val relax : unit -> unit
   (** Spin-wait hint; use inside busy-wait loops. *)
 
+  val relax_n : int -> unit
+  (** [relax_n n] is [n] consecutive {!relax} calls (none if [n <= 0]):
+      one back-off pause. Equivalent in effect on both runtimes — on the
+      simulator the same charges, yields and schedule, step for step —
+      but the simulator's scheduler performs the relaxes after the first
+      yield itself instead of resuming the caller for each one, so a long
+      pause costs far less host time. *)
+
   val now : unit -> float
   (** Seconds. Virtual time in the simulator, wall-clock time otherwise.
       Ratios of durations are meaningful; absolute values are not

@@ -2,22 +2,26 @@ exception Deadlock of string
 
 let name = "sim"
 
+(* A thread's state lives in the run's [threads] array, indexed by id; the
+   run queue holds ids. While a thread is off the CPU its continuation is
+   kept here rather than in a closure, and [spin] counts the relaxes of
+   an interrupted [relax_n] run that the scheduler still has to perform
+   for it before resuming the fiber (0 while the fiber runs). *)
 type thread_state = {
   id : int;
   mutable clock : int;
   mutable finished : bool;
-  mutable joiners : waiter list;
-}
-
-and waiter = {
-  waiter_ts : thread_state;
-  waiter_k : (unit, unit) Effect.Deep.continuation;
+  mutable joiners : thread_state list;
+  mutable k : (unit, unit) Effect.Deep.continuation;
+  mutable spin : int;
+  mutable body : unit -> unit;
 }
 
 type thread = thread_state
 
 type sched = {
-  runnable : (thread_state * (unit -> unit)) Bohm_util.Heap.t;
+  runnable : Bohm_util.Heap.t;
+  mutable threads : thread_state array;
   mutable current : thread_state;
   mutable live : int;
   mutable next_id : int;
@@ -31,6 +35,23 @@ let state : sched option ref = ref None
 let last_makespan = ref 0.
 let last_steps = ref 0
 
+type _ Effect.t += Yield : unit Effect.t | Join_wait : thread_state -> unit Effect.t
+
+(* The continuation of a thread that has not started yet: captured once,
+   never resumed, and only ever compared physically. *)
+let not_started : (unit, unit) Effect.Deep.continuation =
+  let captured : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.try_with Effect.perform Yield
+    {
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Yield -> Some (fun k -> captured := Some k)
+          | _ -> None);
+    };
+  Option.get !captured
+
 (* Priorities are clocks scaled by 256 so that the low byte can carry
    scheduling jitter without perturbing the time order. *)
 let priority sched clock =
@@ -39,18 +60,17 @@ let priority sched clock =
   in
   (clock * 256) + low
 
-type _ Effect.t += Yield : unit Effect.t | Join_wait : thread_state -> unit Effect.t
+let enqueue sched ts =
+  Bohm_util.Heap.push sched.runnable ~priority:(priority sched ts.clock) ts.id
 
-let enqueue sched ts thunk =
-  Bohm_util.Heap.push sched.runnable ~priority:(priority sched ts.clock) (ts, thunk)
+(* Another runnable thread is logically earlier than [ts]. While the
+   current thread holds the minimum clock its operations cannot be
+   affected by anyone else, so it may keep running (conservative PDES
+   fast path). *)
+let must_yield sched ts =
+  Bohm_util.Heap.min_priority sched.runnable < ts.clock * 256
 
-(* Yield only when another runnable thread is logically earlier; while the
-   current thread holds the minimum clock its operations cannot be affected
-   by anyone else, so it may keep running (conservative PDES fast path). *)
-let maybe_yield sched ts =
-  match Bohm_util.Heap.peek sched.runnable with
-  | Some (p, _) when p < ts.clock * 256 -> Effect.perform Yield
-  | Some _ | None -> ()
+let maybe_yield sched ts = if must_yield sched ts then Effect.perform Yield
 
 let current sched = sched.current
 
@@ -60,32 +80,34 @@ let get_sched () =
   | None -> invalid_arg "Sim: operation outside Sim.run"
 
 module Cell = struct
+  (* Six words a cell: two flags ride in the low bit of an int field. *)
   type 'a t = {
     mutable v : 'a;
-    mutable owner : int; (* id of last writer; -1 = fresh *)
-    mutable shared : bool; (* some non-owner has read since last write *)
+    mutable own : int;
+        (* id of the last writer (-1 = fresh) shifted left one bit; the
+           low bit is set once some non-owner has read since that write *)
     mutable avail : int; (* virtual time at which the line is free *)
     mutable last_write : int; (* completion time of the last write *)
-    cid : int; (* unique id, for the optional access tracer *)
-    mutable sync : bool; (* synchronization cell (see Cell.mark_sync) *)
+    mutable tag : int;
+        (* unique id for the optional access tracer, shifted left one
+           bit; the low bit marks a synchronization cell (see
+           Cell.mark_sync) *)
   }
+
+  let owned_by id = id lsl 1
+  let fresh = owned_by (-1)
+  let shared c = c.own land 1 = 1
+  let cid c = c.tag asr 1
+  let sync c = c.tag land 1 = 1
 
   (* Not a Cell and uncharged: cells are created on one thread. *)
   let cell_counter = ref 0
 
   let make v =
     incr cell_counter;
-    {
-      v;
-      owner = -1;
-      shared = false;
-      avail = 0;
-      last_write = min_int;
-      cid = !cell_counter;
-      sync = false;
-    }
+    { v; own = fresh; avail = 0; last_write = min_int; tag = !cell_counter lsl 1 }
 
-  let mark_sync c = c.sync <- true
+  let mark_sync c = c.tag <- c.tag lor 1
 
   (* Report an access to the installed tracer, if any. Never touches the
      virtual clock: traced runs charge exactly what untraced runs do.
@@ -99,7 +121,7 @@ module Cell = struct
         | None -> ()
         | Some s ->
             let ts = current s in
-            sink.Trace.on_access ~cell:c.cid ~sync:c.sync ~thread:ts.id
+            sink.Trace.on_access ~cell:(cid c) ~sync:(sync c) ~thread:ts.id
               ~clock:ts.clock ~kind)
 
   (* A line written recently by some core is "hot": accesses pay a
@@ -114,12 +136,12 @@ module Cell = struct
         let ts = current s in
         if s.charging then begin
           let cost =
-            if c.owner = ts.id || c.shared then !Costs.cache_hit
+            if c.own asr 1 = ts.id || shared c then !Costs.cache_hit
             else begin
               let cost =
                 if hot c ts.clock then !Costs.coherence_read else !Costs.dram_read
               in
-              c.shared <- true;
+              c.own <- c.own lor 1;
               cost
             end
           in
@@ -136,16 +158,15 @@ module Cell = struct
      clock, which the reservation guarantees is untouched by others. *)
   let charge_exclusive s ts c base_cost =
     let transfer =
-      if c.owner = ts.id && not c.shared then 0
-      else if c.owner = -1 then 0 (* freshly allocated: no one holds it *)
+      if c.own = owned_by ts.id then 0 (* owned and unshared *)
+      else if c.own < 0 then 0 (* freshly allocated: no one holds it *)
       else if hot c ts.clock then !Costs.line_transfer
       else !Costs.dram_write
     in
     let start = if ts.clock < c.avail then c.avail else ts.clock in
     ts.clock <- start + base_cost + transfer;
     c.avail <- ts.clock;
-    c.owner <- ts.id;
-    c.shared <- false;
+    c.own <- owned_by ts.id;
     c.last_write <- ts.clock;
     maybe_yield s ts
 
@@ -171,7 +192,7 @@ module Cell = struct
     | Some s ->
         let ts = current s in
         if s.charging then charge_exclusive s ts c !Costs.atomic_rmw;
-        c.sync <- true;
+        mark_sync c;
         let won =
           if c.v == expected then begin
             c.v <- desired;
@@ -191,7 +212,7 @@ module Cell = struct
     | Some s ->
         let ts = current s in
         if s.charging then charge_exclusive s ts c !Costs.atomic_rmw;
-        c.sync <- true;
+        mark_sync c;
         let old = c.v in
         c.v <- old + n;
         trace c Trace.Rmw;
@@ -225,22 +246,50 @@ let copy ~bytes =
   let per = !Costs.bytes_per_cycle in
   work (if per <= 0 then bytes else bytes / per)
 
+let relax_streak_limit = 100_000
+
+(* One relax up to its yield check: the empty-queue streak, then the
+   charge. [false] when the streak has passed its limit: the caller
+   spins but no other thread is runnable, so nothing can release it. *)
+let relax_charge s ts =
+  if Bohm_util.Heap.is_empty s.runnable then
+    s.empty_relax_streak <- s.empty_relax_streak + 1
+  else s.empty_relax_streak <- 0;
+  s.empty_relax_streak <= relax_streak_limit
+  && begin
+       if s.charging then ts.clock <- ts.clock + !Costs.relax_base;
+       true
+     end
+
+let spin_deadlock ts =
+  Deadlock
+    (Printf.sprintf "thread %d spins but no other thread is runnable" ts.id)
+
 let relax () =
   match !state with
   | None -> ()
   | Some s ->
       let ts = current s in
-      if Bohm_util.Heap.is_empty s.runnable then begin
-        s.empty_relax_streak <- s.empty_relax_streak + 1;
-        if s.empty_relax_streak > 100_000 then
-          raise
-            (Deadlock
-               (Printf.sprintf
-                  "thread %d spins but no other thread is runnable" ts.id))
-      end
-      else s.empty_relax_streak <- 0;
-      if s.charging then ts.clock <- ts.clock + !Costs.relax_base;
+      if not (relax_charge s ts) then raise (spin_deadlock ts);
       maybe_yield s ts
+
+(* The fiber runs relaxes until one must yield, then leaves the rest of
+   the run in [ts.spin] for the scheduler (see [finish_relax_run]). *)
+let relax_n n =
+  match !state with
+  | None -> ()
+  | Some s ->
+      let ts = current s in
+      let left = ref n in
+      while !left > 0 do
+        decr left;
+        if not (relax_charge s ts) then raise (spin_deadlock ts);
+        if must_yield s ts then begin
+          ts.spin <- !left;
+          left := 0;
+          Effect.perform Yield
+        end
+      done
 
 let now () =
   match !state with
@@ -269,18 +318,29 @@ let trace_join ~joiner ~joined =
   | None -> ()
   | Some sink -> sink.Trace.on_join ~joiner ~joined
 
+(* Wake the joiners in the order the list holds them; their
+   continuations are already in their thread states. *)
 let finish sched ts =
   ts.finished <- true;
   sched.live <- sched.live - 1;
-  let wake { waiter_ts; waiter_k } =
-    if waiter_ts.clock < ts.clock then waiter_ts.clock <- ts.clock;
-    trace_join ~joiner:waiter_ts.id ~joined:ts.id;
-    enqueue sched waiter_ts (fun () -> Effect.Deep.continue waiter_k ())
+  let wake w =
+    if w.clock < ts.clock then w.clock <- ts.clock;
+    trace_join ~joiner:w.id ~joined:ts.id;
+    enqueue sched w
   in
   List.iter wake ts.joiners;
   ts.joiners <- []
 
-let run_thread sched ts body =
+let start sched ts =
+  let body = ts.body in
+  ts.body <- ignore (* the run's thread array must not keep it alive *);
+  (* Allocated once per thread, not once per yield. *)
+  let park =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        ts.k <- k;
+        enqueue sched ts)
+  in
   Effect.Deep.match_with
     (fun () ->
       body ();
@@ -290,39 +350,68 @@ let run_thread sched ts body =
       retc = (fun () -> ());
       exnc = (fun e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  enqueue sched ts (fun () -> Effect.Deep.continue k ()))
+          | Yield -> park
           | Join_wait target ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  ts.k <- k;
                   if target.finished then begin
                     if ts.clock < target.clock then ts.clock <- target.clock;
                     trace_join ~joiner:ts.id ~joined:target.id;
-                    enqueue sched ts (fun () -> Effect.Deep.continue k ())
+                    enqueue sched ts
                   end
-                  else
-                    target.joiners <-
-                      { waiter_ts = ts; waiter_k = k } :: target.joiners)
+                  else target.joiners <- ts :: target.joiners)
           | _ -> None);
     }
+
+(* Run the relaxes left in [ts.spin] on the scheduler's stack, each
+   exactly as [relax] would in the fiber: the same streak check, the same
+   charge, the same yield test and push. The fiber resumes only once the
+   run is over; a streak past its limit raises [Deadlock] inside it, so
+   its finalisers run. *)
+let rec finish_relax_run sched ts =
+  if ts.spin = 0 then Effect.Deep.continue ts.k ()
+  else begin
+    ts.spin <- ts.spin - 1;
+    if not (relax_charge sched ts) then begin
+      ts.spin <- 0;
+      Effect.Deep.discontinue ts.k (spin_deadlock ts)
+    end
+    else if must_yield sched ts then enqueue sched ts
+    else finish_relax_run sched ts
+  end
+
+let make_thread id ~clock body =
+  {
+    id;
+    clock;
+    finished = false;
+    joiners = [];
+    k = not_started;
+    spin = 0;
+    body;
+  }
 
 let spawn body =
   let s = get_sched () in
   let parent = current s in
   if s.charging then parent.clock <- parent.clock + !Costs.spawn_cost;
-  let ts =
-    { id = s.next_id; clock = parent.clock; finished = false; joiners = [] }
-  in
+  let ts = make_thread s.next_id ~clock:parent.clock body in
   s.next_id <- s.next_id + 1;
   s.live <- s.live + 1;
+  if ts.id = Array.length s.threads then begin
+    let threads = Array.make (2 * ts.id) ts in
+    Array.blit s.threads 0 threads 0 ts.id;
+    s.threads <- threads
+  end;
+  s.threads.(ts.id) <- ts;
   (match !Trace.sink with
   | None -> ()
   | Some sink -> sink.Trace.on_spawn ~parent:parent.id ~child:ts.id);
-  enqueue s ts (fun () -> run_thread s ts body);
+  enqueue s ts;
   ts
 
 let join ts =
@@ -336,10 +425,12 @@ let join ts =
 
 let run ?jitter body =
   if !state <> None then invalid_arg "Sim.run: nested simulations not supported";
-  let main = { id = 0; clock = 0; finished = false; joiners = [] } in
+  let result = ref None in
+  let main = make_thread 0 ~clock:0 (fun () -> result := Some (body ())) in
   let sched =
     {
       runnable = Bohm_util.Heap.create ();
+      threads = Array.make 16 main;
       current = main;
       live = 1;
       next_id = 1;
@@ -350,22 +441,18 @@ let run ?jitter body =
     }
   in
   state := Some sched;
-  let result = ref None in
-  enqueue sched main (fun () -> run_thread sched main (fun () -> result := Some (body ())));
+  enqueue sched main;
   let finalize () =
     last_makespan := float_of_int sched.current.clock /. Costs.cycles_per_second;
     last_steps := sched.step_count;
     state := None
   in
   (try
-     let continue_loop = ref true in
-     while !continue_loop do
-       match Bohm_util.Heap.pop sched.runnable with
-       | None -> continue_loop := false
-       | Some (_, (ts, thunk)) ->
-           sched.step_count <- sched.step_count + 1;
-           sched.current <- ts;
-           thunk ()
+     while not (Bohm_util.Heap.is_empty sched.runnable) do
+       let ts = sched.threads.(Bohm_util.Heap.pop sched.runnable) in
+       sched.step_count <- sched.step_count + 1;
+       sched.current <- ts;
+       if ts.k == not_started then start sched ts else finish_relax_run sched ts
      done
    with e ->
      finalize ();

@@ -16,7 +16,26 @@
 
     {!run} executes a program (which may spawn threads) to completion and
     returns its value. Nested [run]s are rejected. A configuration in which
-    no runnable thread can make progress raises {!Deadlock}. *)
+    no runnable thread can make progress raises {!Deadlock}.
+
+    {b Scheduler.} The run queue ({!Bohm_util.Heap}) holds thread ids
+    ordered by (priority, push order), where a priority is the thread's
+    clock scaled by 256 plus an optional jitter byte drawn once per push.
+    Thread states sit in a per-run array indexed by id; a thread that is
+    off the CPU keeps its continuation in its state. A queue operation
+    therefore allocates nothing.
+
+    {b Relax runs.} {!relax_n}[ n] runs relaxes on the fiber until one
+    must yield, then hands the remaining ones to the scheduler, which
+    performs each itself — the empty-queue streak check, the
+    [Costs.relax_base] charge, the yield test and push — and resumes the
+    fiber only when the run ends. A spin deadlock detected there is
+    raised inside the fiber, so its finalisers run.
+
+    {b Exactness.} Both are host-time optimizations only: the order of
+    pops, the push sequence, the jitter draws, the clock arithmetic and
+    {!steps} are exactly those of [n] calls to {!relax}, so every modeled
+    number and every {!Trace} event is unchanged. *)
 
 include Runtime_intf.S
 

@@ -11,9 +11,7 @@ module Make (R : Runtime_intf.S) = struct
     let reset t = t.cur <- 1
 
     let once t =
-      for _ = 1 to t.cur do
-        R.relax ()
-      done;
+      R.relax_n t.cur;
       if t.cur < t.max then t.cur <- t.cur * 2
   end
 

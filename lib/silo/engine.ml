@@ -227,9 +227,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     while !idx < n do
       let first = match ob with None -> 0 | Some _ -> R.now_ns () in
       while not (run_attempt t me stat ob ~first ~seq:!idx txns.(!idx)) do
-        for _ = 1 to !backoff do
-          R.relax ()
-        done;
+        R.relax_n !backoff;
         if !backoff < max_backoff then backoff := !backoff * 2
       done;
       if !backoff > 1 then backoff := max 1 (!backoff * 3 / 4);

@@ -11,7 +11,13 @@ let chain_step_cost = 10
 module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   type 'a backend =
     | Array_backend of 'a array
-    | Hash_backend of { buckets : (int * 'a) array array; mask : int }
+    | Hash_backend of {
+        start : int array;
+            (* bucket [b]'s chain is entries [start.(b)] .. [start.(b+1) - 1] *)
+        rows : int array;
+        slots : 'a array;
+        mask : int;
+      }
 
   type 'a t = {
     tables : Table.t array;
@@ -50,18 +56,37 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     let per_table =
       Array.map
         (fun (tbl : Table.t) ->
-          let rows = tbl.Table.rows in
-          let n_buckets = next_pow2 (max 1 (rows / bucket_factor)) 1 in
+          let n = tbl.Table.rows and tid = tbl.Table.tid in
+          let n_buckets = next_pow2 (max 1 (n / bucket_factor)) 1 in
           let mask = n_buckets - 1 in
-          let chains = Array.make n_buckets [] in
-          (* Insert in reverse row order so each chain lists rows
-             ascending, keeping probes deterministic. *)
-          for row = rows - 1 downto 0 do
-            let k = Key.make ~table:tbl.Table.tid ~row in
-            let b = Key.hash k land mask in
-            chains.(b) <- (row, init k) :: chains.(b)
+          let bucket row = Key.hash (Key.make ~table:tid ~row) land mask in
+          (* Counting sort of the rows by bucket: [start.(b + 1)] first
+             counts bucket [b], then prefix sums turn counts into ends. *)
+          let start = Array.make (n_buckets + 1) 0 in
+          for row = 0 to n - 1 do
+            let b = bucket row in
+            start.(b + 1) <- start.(b + 1) + 1
           done;
-          Hash_backend { buckets = Array.map Array.of_list chains; mask })
+          for b = 1 to n_buckets do
+            start.(b) <- start.(b) + start.(b - 1)
+          done;
+          (* Fill each chain from its end in descending row order, so it
+             lists rows ascending and [init] runs in the same order as
+             ever (cell ids in traces depend on it). *)
+          let fill = Array.sub start 1 n_buckets in
+          let rows = Array.make n 0 in
+          let slots = ref [||] in
+          for row = n - 1 downto 0 do
+            let b = bucket row in
+            let i = fill.(b) - 1 in
+            fill.(b) <- i;
+            let slot = init (Key.make ~table:tid ~row) in
+            (* The first slot made seeds the array. *)
+            if row = n - 1 then slots := Array.make n slot;
+            rows.(i) <- row;
+            !slots.(i) <- slot
+          done;
+          Hash_backend { start; rows; slots = !slots; mask })
         tables
     in
     { tables; per_table; probes = R.Metric.make () }
@@ -78,24 +103,16 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       | Array_backend slots ->
           R.work array_probe_cost;
           if row >= Array.length slots then None else Some slots.(row)
-      | Hash_backend { buckets; mask } ->
-          let bucket = buckets.(Key.hash k land mask) in
-          let n = Array.length bucket in
-          let rec walk i =
-            if i >= n then begin
-              (* Exhausted the chain: the miss walked all [n] entries. *)
-              R.work (hash_probe_cost + (n * chain_step_cost));
-              None
-            end
-            else
-              let r, slot = bucket.(i) in
-              if r = row then begin
-                R.work (hash_probe_cost + (i * chain_step_cost));
-                Some slot
-              end
-              else walk (i + 1)
-          in
-          walk 0
+      | Hash_backend { start; rows; slots; mask } ->
+          let b = Key.hash k land mask in
+          let first = start.(b) and last = start.(b + 1) in
+          let i = ref first in
+          while !i < last && rows.(!i) <> row do
+            incr i
+          done;
+          (* A miss walked the whole chain, [last - first] entries. *)
+          R.work (hash_probe_cost + ((!i - first) * chain_step_cost));
+          if !i < last then Some slots.(!i) else None
     end
 
   let get t k = match probe t k with Some slot -> slot | None -> raise Not_found
@@ -116,19 +133,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         match backend with
         | Array_backend slots ->
             Array.iteri (fun row slot -> f (Key.make ~table:tid ~row) slot) slots
-        | Hash_backend { buckets; _ } ->
-            (* Collect rows in order for a deterministic traversal. *)
-            let tbl = t.tables.(tid) in
-            let by_row = Array.make tbl.Table.rows None in
-            Array.iter
-              (fun bucket ->
-                Array.iter (fun (row, slot) -> by_row.(row) <- Some slot) bucket)
-              buckets;
+        | Hash_backend { rows; slots; _ } ->
+            (* Visit in row order for a deterministic traversal. *)
+            let at = Array.make (Array.length rows) 0 in
+            Array.iteri (fun i row -> at.(row) <- i) rows;
             Array.iteri
-              (fun row slot ->
-                match slot with
-                | Some s -> f (Key.make ~table:tid ~row) s
-                | None -> ())
-              by_row)
+              (fun row i -> f (Key.make ~table:tid ~row) slots.(i))
+              at)
       t.per_table
 end

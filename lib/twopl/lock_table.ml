@@ -33,9 +33,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
     if not (try_lock cell mode) then begin
       let backoff = ref 1 in
       while not (try_lock cell mode) do
-        for _ = 1 to !backoff do
-          R.relax ()
-        done;
+        R.relax_n !backoff;
         if !backoff < max_backoff then backoff := !backoff * 2
       done
     end

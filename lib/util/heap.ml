@@ -1,73 +1,44 @@
-type 'a entry = { prio : int; seq : int; value : 'a }
+(* Entries sorted by descending (priority, push order) in two parallel int
+   arrays, so the minimum is the last entry: pop is O(1) and push shifts
+   the entries the new one passes. The simulator's queue holds one entry
+   per runnable thread — tens — and a yielding thread usually re-enters
+   close to the end it left, so this beats a binary heap's log-depth
+   sifts; neither allocates once the arrays have grown, and moving ints
+   never goes through the write barrier. Push order needs no field of its
+   own: a push stops below every entry of equal priority, so equal
+   priorities leave oldest first. *)
+type t = { mutable prio : int array; mutable value : int array; mutable size : int }
 
-type 'a t = {
-  mutable data : 'a entry array;
-  mutable size : int;
-  mutable next_seq : int;
-}
-
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create () = { prio = [||]; value = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-let before a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
+let grow t =
+  let capacity = max 16 (2 * Array.length t.prio) in
+  let extend a =
+    let b = Array.make capacity 0 in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.prio <- extend t.prio;
+  t.value <- extend t.value
 
-let grow t entry =
-  let capacity = max 16 (2 * Array.length t.data) in
-  let data = Array.make capacity entry in
-  Array.blit t.data 0 data 0 t.size;
-  t.data <- data
-
-let push t ~priority value =
-  let entry = { prio = priority; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  if t.size = Array.length t.data then grow t entry;
-  (* Sift up. *)
+let push t ~priority v =
+  if t.size = Array.length t.prio then grow t;
+  let prio = t.prio and value = t.value in
   let i = ref t.size in
-  t.size <- t.size + 1;
-  t.data.(!i) <- entry;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if before entry t.data.(parent) then begin
-      t.data.(!i) <- t.data.(parent);
-      t.data.(parent) <- entry;
-      i := parent
-    end
-    else continue := false
-  done
-
-let sift_down t =
-  let entry = t.data.(0) in
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && before t.data.(l) t.data.(!smallest) then smallest := l;
-    if r < t.size && before t.data.(r) t.data.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      t.data.(!i) <- t.data.(!smallest);
-      t.data.(!smallest) <- entry;
-      i := !smallest
-    end
-  done
+  while !i > 0 && prio.(!i - 1) <= priority do
+    prio.(!i) <- prio.(!i - 1);
+    value.(!i) <- value.(!i - 1);
+    decr i
+  done;
+  prio.(!i) <- priority;
+  value.(!i) <- v;
+  t.size <- t.size + 1
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t
-    end;
-    Some (top.prio, top.value)
-  end
+  if t.size = 0 then invalid_arg "Heap.pop: empty heap";
+  t.size <- t.size - 1;
+  t.value.(t.size)
 
-let peek t = if t.size = 0 then None else Some (t.data.(0).prio, t.data.(0).value)
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0
+let min_priority t = if t.size = 0 then max_int else t.prio.(t.size - 1)

@@ -229,6 +229,120 @@ let test_sim_visibility_order () =
   in
   Alcotest.(check int) "flag implies data" 99 ok
 
+(* --- relax_n: the scheduler finishes relax runs, step for step --- *)
+
+(* A contended workload whose every back-off pause goes through [pause]:
+   five threads take a test-and-set lock with exponential back-off, bump
+   a shared counter under it, and pause for uneven lengths between
+   rounds (0 and 1 included). Returns everything a schedule shows: the
+   traced access log (cell, sync, thread, clock, kind) with the spawn and
+   join edges, each thread's clock after every pause, the makespan and
+   the step count. *)
+let relax_schedule ~jitter pause =
+  let log = ref [] in
+  let sink =
+    {
+      Bohm_runtime.Trace.on_access =
+        (fun ~cell ~sync ~thread ~clock ~kind ->
+          log := `Access (cell, sync, thread, clock, kind) :: !log);
+      on_spawn = (fun ~parent ~child -> log := `Spawn (parent, child) :: !log);
+      on_join = (fun ~joiner ~joined -> log := `Join (joiner, joined) :: !log);
+    }
+  in
+  let clocks = Array.make 6 [] in
+  let run () =
+    Sim.run ?jitter:(Option.map (fun seed -> Rng.create ~seed) jitter) (fun () ->
+        let lock = Sim.Cell.make 0 and counter = Sim.Cell.make 0 in
+        let worker id () =
+          for round = 1 to 30 do
+            let backoff = ref 1 in
+            while not (Sim.Cell.get lock = 0 && Sim.Cell.cas lock 0 1) do
+              pause !backoff;
+              clocks.(id) <- Sim.now_ns () :: clocks.(id);
+              if !backoff < 256 then backoff := !backoff * 2
+            done;
+            Sim.Cell.set counter (Sim.Cell.get counter + 1);
+            Sim.work (5 * id);
+            Sim.Cell.set lock 0;
+            pause ((round * (id + 3)) mod 41);
+            clocks.(id) <- Sim.now_ns () :: clocks.(id)
+          done
+        in
+        List.iter Sim.join (List.init 5 (fun id -> Sim.spawn (worker (id + 1))));
+        Sim.Cell.get counter)
+  in
+  let total = Bohm_runtime.Trace.with_sink sink run in
+  (* Cell ids count cells across runs: number them from this run's lowest. *)
+  let base =
+    List.fold_left
+      (fun m -> function `Access (cell, _, _, _, _) -> min m cell | _ -> m)
+      max_int !log
+  in
+  let log =
+    List.rev_map
+      (function
+        | `Access (cell, sync, thread, clock, kind) ->
+            `Access (cell - base, sync, thread, clock, kind)
+        | e -> e)
+      !log
+  in
+  (total, log, Array.to_list clocks, Sim.virtual_time (), Sim.steps ())
+
+let test_sim_relax_n_exact () =
+  List.iter
+    (fun jitter ->
+      let label =
+        match jitter with None -> "no jitter" | Some s -> Printf.sprintf "jitter %d" s
+      in
+      let total, log, clocks, makespan, steps =
+        relax_schedule ~jitter (fun n ->
+            for _ = 1 to n do
+              Sim.relax ()
+            done)
+      in
+      let total', log', clocks', makespan', steps' =
+        relax_schedule ~jitter Sim.relax_n
+      in
+      Alcotest.(check int) (label ^ ": counter") 150 total;
+      Alcotest.(check int) (label ^ ": counter, relax_n") total total';
+      Alcotest.(check bool) (label ^ ": access log") true (log = log');
+      Alcotest.(check bool) (label ^ ": clocks after pauses") true (clocks = clocks');
+      Alcotest.(check (float 0.)) (label ^ ": makespan") makespan makespan';
+      Alcotest.(check int) (label ^ ": steps") steps steps')
+    [ None; Some 3; Some 11 ]
+
+(* One thread in a long relax run outlives every other runnable thread:
+   the scheduler, which is finishing that run, detects the spin deadlock
+   and raises it inside the fiber, so the thread's finaliser runs. *)
+let test_sim_relax_n_deadlock () =
+  let finalised = ref false in
+  let raised =
+    try
+      Sim.run (fun () ->
+          let spinner =
+            Sim.spawn (fun () ->
+                Fun.protect
+                  ~finally:(fun () -> finalised := true)
+                  (fun () -> Sim.relax_n 10_000_000))
+          in
+          let other =
+            Sim.spawn (fun () ->
+                for _ = 1 to 200 do
+                  Sim.work 10
+                done)
+          in
+          Sim.join spinner;
+          Sim.join other);
+      None
+    with Sim.Deadlock msg -> Some msg
+  in
+  Alcotest.(check (option string))
+    "spin deadlock" (Some "thread 1 spins but no other thread is runnable") raised;
+  Alcotest.(check bool) "finaliser ran" true !finalised;
+  (* The spinner yielded to the other thread, so the scheduler, not the
+     fiber, was running its relaxes when the streak ran out. *)
+  Alcotest.(check bool) "interleaved" true (Sim.steps () > 100)
+
 (* --- Sync primitives on the simulator --- *)
 
 let test_sim_barrier_rounds () =
@@ -405,6 +519,8 @@ let suite =
         Alcotest.test_case "exception propagates" `Quick test_sim_exception_propagates;
         Alcotest.test_case "many threads" `Quick test_sim_many_threads;
         Alcotest.test_case "visibility order" `Quick test_sim_visibility_order;
+        Alcotest.test_case "relax_n exact" `Quick test_sim_relax_n_exact;
+        Alcotest.test_case "relax_n deadlock" `Quick test_sim_relax_n_deadlock;
       ]
       @ qcheck [ prop_sim_counter_always_exact; prop_sim_jitter_preserves_counter ] );
     ( "sim-sync",

@@ -154,6 +154,18 @@ let test_zipf_invalid_args () =
     (Invalid_argument "Zipf.create: theta must be in [0, 1)") (fun () ->
       ignore (Zipf.create ~n:10 ~theta:1.0))
 
+(* Drain a heap, pairing each popped value with the priority
+   [min_priority] reported just before the pop. *)
+let heap_drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let p = Heap.min_priority h in
+      let v = Heap.pop h in
+      go ((p, v) :: acc)
+  in
+  go []
+
 let test_heap_ordering () =
   let h = Heap.create () in
   let rng = Rng.create ~seed:37 in
@@ -162,52 +174,51 @@ let test_heap_ordering () =
     Heap.push h ~priority:p p
   done;
   let last = ref min_int in
-  let n = ref 0 in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (p, v) ->
-        Alcotest.(check int) "priority matches value" p v;
-        if p < !last then Alcotest.failf "out of order: %d after %d" p !last;
-        last := p;
-        incr n;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check int) "drained all" 1000 !n
+  List.iter
+    (fun (p, v) ->
+      Alcotest.(check int) "priority matches value" p v;
+      if p < !last then Alcotest.failf "out of order: %d after %d" p !last;
+      last := p)
+    (heap_drain h);
+  Alcotest.(check bool) "drained all" true (Heap.is_empty h)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  Heap.push h ~priority:5 "a";
-  Heap.push h ~priority:5 "b";
-  Heap.push h ~priority:5 "c";
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> assert false in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ())
+  Heap.push h ~priority:5 10;
+  Heap.push h ~priority:5 11;
+  Heap.push h ~priority:5 12;
+  Alcotest.(check int) "first" 10 (Heap.pop h);
+  Alcotest.(check int) "second" 11 (Heap.pop h);
+  Alcotest.(check int) "third" 12 (Heap.pop h)
 
 let test_heap_empty () =
-  let h : int Heap.t = Heap.create () in
+  let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek h = None)
+  Alcotest.check_raises "pop raises" (Invalid_argument "Heap.pop: empty heap")
+    (fun () -> ignore (Heap.pop h));
+  Alcotest.(check int) "min_priority of empty" max_int (Heap.min_priority h)
 
 let test_heap_peek_does_not_remove () =
   let h = Heap.create () in
-  Heap.push h ~priority:1 "x";
-  Alcotest.(check bool) "peek" true (Heap.peek h = Some (1, "x"));
-  Alcotest.(check int) "still there" 1 (Heap.length h)
+  Heap.push h ~priority:1 7;
+  Alcotest.(check int) "min_priority" 1 (Heap.min_priority h);
+  Alcotest.(check int) "still there" 1 (Heap.length h);
+  Alcotest.(check int) "value" 7 (Heap.pop h)
 
 let test_heap_interleaved () =
   let h = Heap.create () in
+  let pop () =
+    let p = Heap.min_priority h in
+    (p, Heap.pop h)
+  in
   Heap.push h ~priority:10 10;
   Heap.push h ~priority:1 1;
-  Alcotest.(check bool) "min first" true (Heap.pop h = Some (1, 1));
+  Alcotest.(check (pair int int)) "min first" (1, 1) (pop ());
   Heap.push h ~priority:5 5;
   Heap.push h ~priority:0 0;
-  Alcotest.(check bool) "new min" true (Heap.pop h = Some (0, 0));
-  Alcotest.(check bool) "then 5" true (Heap.pop h = Some (5, 5));
-  Alcotest.(check bool) "then 10" true (Heap.pop h = Some (10, 10))
+  Alcotest.(check (pair int int)) "new min" (0, 0) (pop ());
+  Alcotest.(check (pair int int)) "then 5" (5, 5) (pop ());
+  Alcotest.(check (pair int int)) "then 10" (10, 10) (pop ())
 
 let test_histogram_exact_small () =
   let h = Histogram.create () in
@@ -341,10 +352,34 @@ let prop_heap_sorts =
     (fun l ->
       let h = Heap.create () in
       List.iter (fun p -> Heap.push h ~priority:p p) l;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare l)
+      List.map fst (heap_drain h) = List.sort compare l)
+
+(* Interleaved pushes ([Some p]) and pops ([None]) against a list model:
+   every pop yields the entry least in (priority, push order). The value
+   pushed is the push's index, so ties are checked too. *)
+let prop_heap_priority_then_push_order =
+  QCheck.Test.make ~count:300 ~name:"heap pops in (priority, push order)"
+    QCheck.(list (option (int_bound 20)))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] and pushes = ref 0 in
+      List.for_all
+        (function
+          | Some p ->
+              Heap.push h ~priority:p !pushes;
+              model := !model @ [ (p, !pushes) ];
+              incr pushes;
+              Heap.length h = List.length !model
+          | None -> (
+              match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
+              | [] -> Heap.is_empty h
+              | ((p, v) as least) :: _ ->
+                  model := List.filter (fun e -> e != least) !model;
+                  let mp = Heap.min_priority h in
+                  mp = p && Heap.pop h = v))
+        ops
+      && List.map snd (heap_drain h)
+         = List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) !model))
 
 (* The documented accuracy contract of the log-bucketed quantiles
    (histogram.mli): against the exact quantile of the sorted sample —
@@ -441,7 +476,7 @@ let suite =
         Alcotest.test_case "peek" `Quick test_heap_peek_does_not_remove;
         Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
       ]
-      @ qcheck [ prop_heap_sorts ] );
+      @ qcheck [ prop_heap_sorts; prop_heap_priority_then_push_order ] );
     ( "histogram",
       [
         Alcotest.test_case "exact small" `Quick test_histogram_exact_small;
