@@ -3,13 +3,9 @@
    With no arguments, regenerates every table and figure of the paper's
    evaluation on the simulated multicore machine, runs the ablation
    benches, and finishes with the Bechamel component micro-benchmarks.
-   Pass experiment names (fig4 fig4-noroute fig4-nowakeup fig4-noslabs
-   fig4-shards fig5 fig6 fig7 fig8 tab9 fig10 ablation-batch
-   ablation-annotation ablation-gc ablation-cc-split ablation-preprocess
-   ablation-probe-memo ablation-cc-routing ablation-exec-wakeup
-   ablation-version-slabs ablation-cc-rebalance flash-crowd
-   latency-profile critical-path micro micro-slabs micro-sim smoke)
-   to run a subset; --quick shrinks sweeps for smoke runs; --scale=F
+   Pass experiment names (any of [Experiments.experiments], or micro
+   micro-slabs micro-sim smoke sanitize; --help lists them) to run a
+   subset; --quick shrinks sweeps for smoke runs; --scale=F
    multiplies transaction counts; --json=PATH also writes every table of
    the run (with per-column throughput ceilings) as one JSON document. *)
 
@@ -77,28 +73,17 @@ let sanitize ~scale ~quick =
         incr failures
       end)
     (Runner.all @ [ Runner.Mvto ]);
-  (* BOHM additionally in the batch-routing and wakeup on/off modes with
-     the preprocessing stage on: the routed run exercises the dense
-     dispatch, freelist recycling and steal-cursor paths, the wakeup runs
-     exercise the waiter-registration/seal/ready-queue protocol (and the
-     dangling-waiter audit), the slabs-off run pins the heap-record/
-     freelist store, and the scan/retry runs pin the off baselines — all
-     under the full checker suite (the default runs above already cover
-     the slab store and its cross-slab chain audit). These runs use 12
+  (* BOHM additionally with a parking-width execution pool, with the
+     preprocessing stage on (routed dispatch) and off (scan dispatch):
+     both exercise the waiter-registration/seal/ready-queue protocol and
+     the dangling-waiter audit under the full checker suite (the runs
+     above, at 6 threads, cover the retry-list path). These runs use 12
      threads at cc_fraction 1/3 (cc=4/exec=8): parking engages only at 8+
-     execution threads, so a smaller pool would sanitize the wakeup flag
-     without ever tracing the waiter protocol. *)
+     execution threads. *)
   List.iter
-    (fun (label, cc_routing, exec_wakeup, version_slabs) ->
+    (fun (label, preprocess) ->
       let bohm =
-        {
-          Runner.default_bohm_opts with
-          cc_fraction = 1. /. 3.;
-          preprocess = true;
-          cc_routing;
-          exec_wakeup;
-          version_slabs;
-        }
+        { Runner.default_bohm_opts with cc_fraction = 1. /. 3.; preprocess }
       in
       let stats, report =
         Runner.run_sim_sanitized ~bohm Runner.Bohm ~threads:12 spec
@@ -112,13 +97,7 @@ let sanitize ~scale ~quick =
         print_endline (Analysis.to_string report);
         incr failures
       end)
-    [
-      ("Bohm+rt", true, true, true);
-      ("Bohm-rt", false, true, true);
-      ("Bohm+rt-wk", true, false, true);
-      ("Bohm-rt-wk", false, false, true);
-      ("Bohm+rt-slab", true, true, false);
-    ];
+    [ ("Bohm+pre", true); ("Bohm-pre", false) ];
   if !failures > 0 then begin
     Printf.eprintf "sanitize: %d engine(s) produced diagnostics\n" !failures;
     exit 1
@@ -159,37 +138,18 @@ let smoke ~scale ~sanitized =
   (* With --sanitize the same configurations run under the full checker
      suite (cc=4/exec=8 expressed as 12 threads at cc_fraction 1/3 — the
      identical split). *)
-  let run ?(wakeup = true) ?(slabs = true) ~preprocess ~probe_memo ~routing
-      () =
+  let run ~preprocess =
     if sanitized then
       let bohm =
-        { Runner.default_bohm_opts with cc_fraction = 1. /. 3.; preprocess;
-          probe_memo; cc_routing = routing; exec_wakeup = wakeup;
-          version_slabs = slabs }
+        { Runner.default_bohm_opts with cc_fraction = 1. /. 3.; preprocess }
       in
       let stats, r = Runner.run_sim_sanitized ~bohm Runner.Bohm ~threads:12 spec txns in
       (stats, Some r)
-    else
-      ( Runner.run_bohm_sim ~cc:4 ~exec:8 ~preprocess ~probe_memo
-          ~cc_routing:routing ~exec_wakeup:wakeup ~version_slabs:slabs spec
-          txns,
-        None )
+    else (Runner.run_bohm_sim ~cc:4 ~exec:8 ~preprocess spec txns, None)
   in
   let suffix = if sanitized then " sanitized" else "" in
-  check ("bohm cc=4 exec=8" ^ suffix)
-    (run ~preprocess:false ~probe_memo:true ~routing:true ());
-  check ("bohm cc=4 exec=8 no-routing" ^ suffix)
-    (run ~preprocess:false ~probe_memo:true ~routing:false ());
-  check ("bohm cc=4 exec=8 no-wakeup" ^ suffix)
-    (run ~wakeup:false ~preprocess:false ~probe_memo:true ~routing:true ());
-  check ("bohm cc=4 exec=8 no-slabs" ^ suffix)
-    (run ~slabs:false ~preprocess:false ~probe_memo:true ~routing:true ());
-  check ("bohm cc=4 exec=8 preprocess routed" ^ suffix)
-    (run ~preprocess:true ~probe_memo:true ~routing:true ());
-  check ("bohm cc=4 exec=8 preprocess scan-dispatch" ^ suffix)
-    (run ~preprocess:true ~probe_memo:true ~routing:false ());
-  check ("bohm cc=4 exec=8 preprocess re-probe" ^ suffix)
-    (run ~preprocess:true ~probe_memo:false ~routing:true ());
+  check ("bohm cc=4 exec=8" ^ suffix) (run ~preprocess:false);
+  check ("bohm cc=4 exec=8 preprocess routed" ^ suffix) (run ~preprocess:true);
   (* Two complete per-shard pipelines with a 10% cross-shard mix: routed
      footprint slices, epoch-aligned batches and the per-batch vote round
      must still commit every transaction (sanitized: under the full

@@ -52,56 +52,20 @@ let local_writes_bench =
          Array.iter (fun k -> ignore (Local_writes.find buf k)) keys))
 
 (* Version-chain traversal: the §4.2.3 overhead BOHM's read annotation
-   skips. One chain of 64 versions, reader wants the oldest — measured
-   over the three stores a chain can be built from: freshly allocated
-   heap records (cells scattered by whatever the GC did between
-   allocations), heap records drawn from a Condition-3 freelist (the
-   recycled store), and slab entries whose begin/prev columns pack eight
-   versions per cache line. The slab walk touching 8x fewer lines is the
-   effect the [version_slabs] flag exists to buy. *)
-let heap_chain_head () =
-  let base = Version.initial Value.zero in
-  let producer = () in
+   skips. One chain of 64 slab-allocated versions — begin/prev columns
+   packed eight versions per cache line — over a bulk-loaded tail; the
+   reader wants the oldest. *)
+let chain_walk_bench =
+  let al = Version.alloc_make ~owner:0 () in
   let rec extend v ts =
     if ts > 64 then v
-    else extend (Version.placeholder ~ts ~producer ~prev:v) (ts + 1)
+    else
+      extend
+        (Version.slab_placeholder al ~batch:0 ~ts ~producer:() ~prev:v)
+        (ts + 1)
   in
-  extend base 1
-
-let chain_walk_bench =
-  let head = heap_chain_head () in
+  let head = extend (Version.initial Value.zero) 1 in
   Test.make ~name:"chain-walk(64 versions)"
-    (Staged.stage (fun () -> Version.visible_at head ~ts:0))
-
-let chain_walk_recycled_bench =
-  (* Harvest 64 Condition-3 records from a donor chain, then rebuild a
-     64-version chain out of them — the freelist store's memory. *)
-  let donor = heap_chain_head () in
-  let records = Version.truncate_collect donor ~gc_ts:1000 in
-  let base = Version.initial Value.zero in
-  let head =
-    List.fold_left
-      (fun (v, ts) r -> (Version.recycle r ~ts ~producer:() ~prev:v, ts + 1))
-      (base, 1) records
-    |> fst
-  in
-  Test.make ~name:"chain-walk-recycled(64 versions)"
-    (Staged.stage (fun () -> Version.visible_at head ~ts:0))
-
-let chain_walk_slab_bench =
-  let al = Version.alloc_make ~owner:0 () in
-  let base = Version.initial Value.zero in
-  let head =
-    let rec extend v ts =
-      if ts > 64 then v
-      else
-        extend
-          (Version.slab_placeholder al ~batch:0 ~ts ~producer:() ~prev:v)
-          (ts + 1)
-    in
-    extend base 1
-  in
-  Test.make ~name:"chain-walk-slab(64 versions)"
     (Staged.stage (fun () -> Version.visible_at head ~ts:0))
 
 let chain_annotated_bench =
@@ -147,8 +111,6 @@ let tests =
       heap_bench;
       local_writes_bench;
       chain_walk_bench;
-      chain_walk_recycled_bench;
-      chain_walk_slab_bench;
       chain_annotated_bench;
       counter_faa_bench;
       store_lookup_bench;
@@ -183,78 +145,30 @@ let run_tests ~title ~quota tests =
     rows;
   print_newline ()
 
-(* The same three 64-version walks on the simulator: what the cost model
-   — the thing every throughput figure in this repo is computed from —
-   charges for each store's chain hop. Host nanoseconds and charged
-   cycles disagree on the slab win by design: on the host all three
-   chains come out of a fresh minor heap and stream contiguous lines, so
-   the slab's extra index decode only adds work; the model charges
-   scattered heap records a DRAM/coherence read per hop and the packed
-   SoA slab columns a cache hit per line of eight. Printing both keeps
-   the microbench honest about which claim each number supports. *)
-let charged_chain_walks () =
+(* The same 64-version walk on the simulator: what the cost model —
+   the thing every throughput figure in this repo is computed from —
+   charges for it. Host nanoseconds and charged cycles measure different
+   things: on the host the chain streams a freshly allocated contiguous
+   heap, while the model charges the packed slab columns a cache hit per
+   line of eight versions. *)
+let charged_chain_walk () =
   let module Sim = Bohm_runtime.Sim in
   let module V = Bohm_core.Version.Make (Sim) in
   Sim.run (fun () ->
-      let walk name head =
-        let t0 = Sim.now_ns () in
-        ignore (V.visible_at head ~ts:0);
-        (name, Sim.now_ns () - t0)
+      let al = V.alloc_make ~owner:0 () in
+      let rec extend v ts =
+        if ts > 64 then v
+        else
+          extend (V.slab_placeholder al ~batch:0 ~ts ~producer:() ~prev:v) (ts + 1)
       in
-      let heap_head =
-        let rec extend v ts =
-          if ts > 64 then v
-          else extend (V.placeholder ~ts ~producer:() ~prev:v) (ts + 1)
-        in
-        extend (V.initial Value.zero) 1
-      in
-      let recycled_head =
-        let donor =
-          let rec extend v ts =
-            if ts > 64 then v
-            else extend (V.placeholder ~ts ~producer:() ~prev:v) (ts + 1)
-          in
-          extend (V.initial Value.zero) 1
-        in
-        let records = V.truncate_collect donor ~gc_ts:1000 in
-        List.fold_left
-          (fun (v, ts) r -> (V.recycle r ~ts ~producer:() ~prev:v, ts + 1))
-          (V.initial Value.zero, 1)
-          records
-        |> fst
-      in
-      let slab_head =
-        let al = V.alloc_make ~owner:0 () in
-        let rec extend v ts =
-          if ts > 64 then v
-          else
-            extend (V.slab_placeholder al ~batch:0 ~ts ~producer:() ~prev:v) (ts + 1)
-        in
-        extend (V.initial Value.zero) 1
-      in
-      [
-        walk "chain-walk(64 versions)" heap_head;
-        walk "chain-walk-recycled(64 versions)" recycled_head;
-        walk "chain-walk-slab(64 versions)" slab_head;
-      ])
+      let head = extend (V.initial Value.zero) 1 in
+      let t0 = Sim.now_ns () in
+      ignore (V.visible_at head ~ts:0);
+      Sim.now_ns () - t0)
 
-let print_charged_chain_walks () =
-  print_endline
-    "  charged cycles for the same walks (simulator cost model):";
-  List.iter
-    (fun (name, cycles) ->
-      Printf.printf "  %-36s %10d cycles/walk\n" name cycles)
-    (charged_chain_walks ());
-  print_endline
-    "  note: host-ns and charged cycles disagree on the slab walk by";
-  print_endline
-    "  design - on the host all three chains stream a freshly-allocated";
-  print_endline
-    "  contiguous heap, while the cost model charges scattered heap";
-  print_endline
-    "  records a memory read per hop and the packed slab columns a cache";
-  print_endline "  hit per line of eight. The throughput figures use the model.";
-  print_newline ()
+let print_charged_chain_walk () =
+  Printf.printf "  %-36s %10d cycles/walk (simulator cost model)\n\n"
+    "chain-walk(64 versions)" (charged_chain_walk ())
 
 (* Host cost of one simulator step. Sixteen threads repeat one operation
    in lockstep, so nearly every operation hands the CPU to the scheduler:
@@ -300,15 +214,14 @@ let run_sim_steps () =
 let run () =
   run_tests ~title:"Component micro-benchmarks (real runtime, ns/op)"
     ~quota:0.5 tests;
-  print_charged_chain_walks ();
+  print_charged_chain_walk ();
   run_sim_steps ()
 
-(* Fast tier-1 variant: just the version-store walks, short quota — a
+(* Fast tier-1 variant: just the version-store walk, short quota — a
    regression canary for the slab layout that rides along with
    `dune build @bench-smoke`. *)
 let run_version_store () =
   run_tests ~title:"Version-store micro-benchmarks (real runtime, ns/op)"
     ~quota:0.1
-    (Test.make_grouped ~name:"micro" ~fmt:"%s/%s"
-       [ chain_walk_bench; chain_walk_recycled_bench; chain_walk_slab_bench ]);
-  print_charged_chain_walks ()
+    (Test.make_grouped ~name:"micro" ~fmt:"%s/%s" [ chain_walk_bench ]);
+  print_charged_chain_walk ()

@@ -1,15 +1,18 @@
 #!/bin/sh
-# Tier-1 perf-PR gate: run the fig4-configuration smoke bench (~seconds)
-# with batch routing on and off, check the routing-off engine against the
-# recorded BENCH_PR1.json figures, and fail if any BOHM configuration
-# commits fewer transactions than it was given. Wire into CI before
-# merging anything that touches lib/core, lib/storage or lib/runtime.
-# Also available as `dune build @bench-smoke`.
+# Tier-1 perf-PR gate: the sanitizer and static-certification passes, the
+# fig4 determinism gates against the recorded BENCH_PR6/8/9.json cells,
+# the trace/timeline schema and observer-overhead gates, the shard,
+# flash-crowd and critical-path smokes, and finally the fig4-configuration
+# smoke bench, which fails if any BOHM configuration commits fewer
+# transactions than it was given. Wire into CI before merging anything
+# that touches lib/core, lib/storage or lib/runtime. The smoke bench alone
+# is also available as `dune build @bench-smoke`.
 set -e
 cd "$(dirname "$0")/.."
-dune build bench/main.exe
+dune build bench/main.exe bin/bohm_cli.exe
 # One sanitized configuration per engine (footprint + chain + race
-# checkers on the serialization workload), plus BOHM with routing on/off.
+# checkers on the serialization workload), plus BOHM with a parking-width
+# exec pool, preprocessing on and off.
 dune exec bench/main.exe -- sanitize --quick
 
 # Static certification gate: the footprint certifier over the built-in IR
@@ -17,94 +20,23 @@ dune exec bench/main.exe -- sanitize --quick
 # sanitize pass; any diagnostic fails the build.
 dune build @lint
 
-# Determinism gate: with cc_routing off the engine must retrace the PR 1
-# code paths instruction for instruction. The --quick fig4-noroute sweep
-# (CC in {1,4}, exec in {2,8}; each cell an independent deterministic
-# simulation at the full transaction count) must therefore reproduce the
-# corresponding BENCH_PR1.json fig4 cells bit-for-bit.
-tmp=$(mktemp)
-trap 'rm -f "$tmp"' EXIT
-dune exec bench/main.exe -- fig4-noroute --quick --json="$tmp" > /dev/null
-row() { # row JSON-FILE X -> the values line of the fig4 row at x=X
-  awk -v x="\"x\": \"$2\"" '
-    /"title": "Figure 4/ { in_fig4 = 1 }
-    in_fig4 && index($0, x) { print; exit }' "$1" \
-    | sed 's/.*\[//; s/\].*//'
-}
-for x in 2 8; do
-  got=$(row "$tmp" $x)
-  # BENCH_PR1 columns are CC=1,2,4,8; the quick sweep runs CC=1 and CC=4.
-  want=$(row BENCH_PR1.json $x | awk -F', ' '{print $1 ", " $3}')
-  if [ -z "$got" ] || [ "$got" != "$want" ]; then
-    echo "FAIL: fig4 with cc_routing off diverges from BENCH_PR1.json at exec=$x"
-    echo "  got:  [$got]"
-    echo "  want: [$want]"
-    exit 1
-  fi
-done
-echo "fig4-noroute determinism gate PASS (matches BENCH_PR1.json at exec=2,8 / CC=1,4)"
-
-# Second determinism gate: with exec_wakeup off the engine must retrace
-# the PR 3 retry-polling code paths instruction for instruction, so the
-# --quick fig4-nowakeup sweep must reproduce the corresponding
-# BENCH_PR3.json fig4 cells bit-for-bit.
-tmp2=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2"' EXIT
-dune exec bench/main.exe -- fig4-nowakeup --quick --json="$tmp2" > /dev/null
-for x in 2 8; do
-  got=$(row "$tmp2" $x)
-  want=$(row BENCH_PR3.json $x | awk -F', ' '{print $1 ", " $3}')
-  if [ -z "$got" ] || [ "$got" != "$want" ]; then
-    echo "FAIL: fig4 with exec_wakeup off diverges from BENCH_PR3.json at exec=$x"
-    echo "  got:  [$got]"
-    echo "  want: [$want]"
-    exit 1
-  fi
-done
-echo "fig4-nowakeup determinism gate PASS (matches BENCH_PR3.json at exec=2,8 / CC=1,4)"
-
-# Ablation smoke: run the wakeup-vs-retry sweep shrunk. A lost wakeup
-# parks a transaction forever, which deadlocks the simulator and exits
-# non-zero; the full-scale table lives in EXPERIMENTS.md / BENCH_PR4.json.
-dune exec bench/main.exe -- ablation-exec-wakeup --quick > /dev/null \
-  && echo "ablation-exec-wakeup smoke PASS"
-
-# Slab-store ablation smoke: slab arena vs heap/freelist store, shrunk.
-# Arena corruption shows up as chain-audit diagnostics or lost commits in
-# the slab engine tests; here the check is that the sweep completes (the
-# full-scale table lives in EXPERIMENTS.md / BENCH_PR6.json).
-dune exec bench/main.exe -- ablation-version-slabs --quick > /dev/null \
-  && echo "ablation-version-slabs smoke PASS"
-
-# Third determinism gate: with version_slabs off the engine must retrace
-# the PR 4 heap-record/freelist code paths instruction for instruction
-# (and, obs being off by default, never read the observability clock), so
-# the --quick fig4-noslabs sweep must reproduce the corresponding
-# BENCH_PR4.json fig4 cells bit-for-bit.
-tmp3=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3"' EXIT
-dune exec bench/main.exe -- fig4-noslabs --quick --json="$tmp3" > /dev/null
-for x in 2 8; do
-  got=$(row "$tmp3" $x)
-  want=$(row BENCH_PR4.json $x | awk -F', ' '{print $1 ", " $3}')
-  if [ -z "$got" ] || [ "$got" != "$want" ]; then
-    echo "FAIL: fig4 with version_slabs off diverges from BENCH_PR4.json at exec=$x"
-    echo "  got:  [$got]"
-    echo "  want: [$want]"
-    exit 1
-  fi
-done
-echo "fig4-noslabs determinism gate PASS (matches BENCH_PR4.json at exec=2,8 / CC=1,4)"
+# Experiment names are validated before anything runs: an unknown one
+# must be a usage error (non-zero exit), never a silent no-op.
+if dune exec bin/bohm_cli.exe -- bench no-such-experiment > /dev/null 2>&1
+then
+  echo "FAIL: bohm_cli bench accepted an unknown experiment name"
+  exit 1
+fi
+echo "bench name validation PASS (unknown experiment rejected)"
 
 # Trace-schema gate: a small observed BOHM run must export Chrome
 # trace-event JSON in which every event line carries the required keys
 # and B/E span events balance per track (tid) — never closing below
 # zero, nothing left open at end of trace.
-tmp4=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4"' EXIT
-dune build bin/bohm_cli.exe
+tmp1=$(mktemp)
+trap 'rm -f "$tmp1"' EXIT
 dune exec bin/bohm_cli.exe -- run -e bohm -t 6 -n 1500 --theta 0.4 \
-  --trace "$tmp4" > /dev/null
+  --trace "$tmp1" > /dev/null
 awk '
   !/"ph":/ { next }
   { events++ }
@@ -128,18 +60,27 @@ awk '
       print "FAIL: unclosed span on tid " t; exit 1
     }
     print "trace schema gate PASS (" events " events, all tracks balanced)"
-  }' "$tmp4"
+  }' "$tmp1"
 
-# Fourth determinism gate: the multi-shard refactor must leave the
-# single-shard engine untouched. shards=1 is the default, so the plain
-# --quick fig4 sweep must reproduce the corresponding BENCH_PR6.json
-# fig4 cells bit-for-bit — any charged instruction leaking from the
-# sharded paths into the single-shard run shows up here.
-tmp5=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5"' EXIT
-dune exec bench/main.exe -- fig4 --quick --json="$tmp5" > /dev/null
+row() { # row JSON-FILE X -> the values line of the fig4 row at x=X
+  awk -v x="\"x\": \"$2\"" '
+    /"title": "Figure 4/ { in_fig4 = 1 }
+    in_fig4 && index($0, x) { print; exit }' "$1" \
+    | sed 's/.*\[//; s/\].*//'
+}
+
+# Determinism gate: the single-shard engine must replay the recorded
+# schedule. The --quick fig4 sweep (CC in {1,4}, exec in {2,8}; each cell
+# an independent deterministic simulation at the full transaction count)
+# runs the default shards=1 configuration, so it must reproduce the
+# corresponding BENCH_PR6.json fig4 cells bit-for-bit — any charged
+# instruction leaking from the sharded paths of the one driver into the
+# single-shard run shows up here.
+tmp2=$(mktemp)
+trap 'rm -f "$tmp1" "$tmp2"' EXIT
+dune exec bench/main.exe -- fig4 --quick --json="$tmp2" > /dev/null
 for x in 2 8; do
-  got=$(row "$tmp5" $x)
+  got=$(row "$tmp2" $x)
   want=$(row BENCH_PR6.json $x | awk -F', ' '{print $1 ", " $3}')
   if [ -z "$got" ] || [ "$got" != "$want" ]; then
     echo "FAIL: single-shard fig4 diverges from BENCH_PR6.json at exec=$x"
@@ -150,14 +91,14 @@ for x in 2 8; do
 done
 echo "fig4 single-shard determinism gate PASS (matches BENCH_PR6.json at exec=2,8 / CC=1,4)"
 
-# Fifth determinism gate: adaptive CC repartitioning must be inert when
+# Second determinism gate: adaptive CC repartitioning must be inert when
 # it cannot observe load — fig4 runs without the preprocessing stage, so
 # with cc_rebalance at its default (on) no map is ever published and the
 # same fig4 run must also reproduce the BENCH_PR8.json cells bit-for-bit.
 # Any charged instruction leaking from the rebalance path into a
 # static-map run shows up here.
 for x in 2 8; do
-  got=$(row "$tmp5" $x)
+  got=$(row "$tmp2" $x)
   want=$(row BENCH_PR8.json $x | awk -F', ' '{print $1 ", " $3}')
   if [ -z "$got" ] || [ "$got" != "$want" ]; then
     echo "FAIL: fig4 with cc_rebalance inert diverges from BENCH_PR8.json at exec=$x"
@@ -186,13 +127,13 @@ dune exec bench/main.exe -- ablation-cc-rebalance --quick > /dev/null \
 dune exec bench/main.exe -- flash-crowd --quick > /dev/null \
   && echo "flash-crowd smoke PASS"
 
-# Sixth determinism gate: the metrics/timeline instrumentation must be
+# Third determinism gate: the metrics/timeline instrumentation must be
 # invisible when obs is off. fig4 runs unobserved, so the same --quick
-# fig4 cells (tmp5 above) must also reproduce the BENCH_PR9.json cells
+# fig4 cells (tmp2 above) must also reproduce the BENCH_PR9.json cells
 # bit-for-bit — a charged instruction leaking from a Metrics shard, a
 # timeline instant or the dep-stall blame path shows up here.
 for x in 2 8; do
-  got=$(row "$tmp5" $x)
+  got=$(row "$tmp2" $x)
   want=$(row BENCH_PR9.json $x | awk -F', ' '{print $1 ", " $3}')
   if [ -z "$got" ] || [ "$got" != "$want" ]; then
     echo "FAIL: unobserved fig4 diverges from BENCH_PR9.json at exec=$x"
@@ -207,10 +148,10 @@ echo "fig4 obs-off determinism gate PASS (matches BENCH_PR9.json at exec=2,8 / C
 # schema key on every line, batch ids must be strictly increasing, and
 # the disjoint stage windows must sum to at most the batch makespan
 # (gc is nested inside cc and excluded from the sum).
-tmp6=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5" "$tmp6"' EXIT
+tmp3=$(mktemp)
+trap 'rm -f "$tmp1" "$tmp2" "$tmp3"' EXIT
 dune exec bin/bohm_cli.exe -- run -e bohm --preprocess -t 6 -n 3000 \
-  --theta 0.4 --timeline "$tmp6" > /dev/null
+  --theta 0.4 --timeline "$tmp3" > /dev/null
 awk '
   function val(key,    pat) {
     pat = "\"" key "\": -?[0-9]+"
@@ -224,7 +165,7 @@ awk '
     lines++
     n = split("batch start finish makespan d_sequence d_preprocess " \
               "d_rebalance d_cc d_gc d_exec d_vote committed steals " \
-              "wakeups retry_scans recycled dep_stall slab_occ", keys, " ")
+              "wakeups retry_scans dep_stall slab_occ", keys, " ")
     for (i = 1; i <= n; i++) v[keys[i]] = val(keys[i])
     if (!/"cc_imbalance": /) {
       print "FAIL: missing cc_imbalance"; bad = 1; exit 1
@@ -253,26 +194,26 @@ awk '
     if (bad) exit 1
     if (lines == 0) { print "FAIL: empty timeline"; exit 1 }
     print "timeline schema gate PASS (" lines " batches, stage sums bounded)"
-  }' "$tmp6"
+  }' "$tmp3"
 
 # Observer-overhead gate: the same deterministic fig4-configuration run
 # with and without recording must print the identical stat block —
 # virtual time, commits, every extras key — differing only in the trace
 # artifact lines. Recording is host-side; any drift here is a charged
 # instruction leaking from the obs layer.
-tmp7=$(mktemp)
-tmp8=$(mktemp)
-trap 'rm -f "$tmp" "$tmp2" "$tmp3" "$tmp4" "$tmp5" "$tmp6" "$tmp7" "$tmp8"' EXIT
+tmp4=$(mktemp)
+tmp5=$(mktemp)
+trap 'rm -f "$tmp1" "$tmp2" "$tmp3" "$tmp4" "$tmp5"' EXIT
 obs_run() { # obs_run [extra flags...] -> the filtered stat block
   dune exec bin/bohm_cli.exe -- run -e bohm -w 10rmw --theta 0 -t 12 \
     --cc-fraction 0.34 -n 2000 "$@" \
     | grep -v -e '^trace: ' -e '^timeline: ' -e '^$'
 }
-obs_run > "$tmp7"
-obs_run --trace /dev/null --timeline /dev/null > "$tmp8"
-if ! cmp -s "$tmp7" "$tmp8"; then
+obs_run > "$tmp4"
+obs_run --trace /dev/null --timeline /dev/null > "$tmp5"
+if ! cmp -s "$tmp4" "$tmp5"; then
   echo "FAIL: observed run's stat block diverges from the unobserved run"
-  diff "$tmp7" "$tmp8" || true
+  diff "$tmp4" "$tmp5" || true
   exit 1
 fi
 echo "observer-overhead gate PASS (obs on/off stat blocks identical)"

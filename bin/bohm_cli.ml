@@ -127,37 +127,6 @@ let run_cmd =
       & info [ "preprocess" ]
           ~doc:"Enable BOHM's pipelined pre-processing stage (paper 3.2.2).")
   in
-  let no_probe_memo =
-    Arg.(
-      value & flag
-      & info [ "no-probe-memo" ]
-          ~doc:"Disable probe-once slot memoization (re-probe the index).")
-  in
-  let no_cc_routing =
-    Arg.(
-      value & flag
-      & info [ "no-cc-routing" ]
-          ~doc:
-            "Disable batch-routed concurrency control (dense per-partition \
-             dispatch, version freelists, steal cursor).")
-  in
-  let no_exec_wakeup =
-    Arg.(
-      value & flag
-      & info [ "no-exec-wakeup" ]
-          ~doc:
-            "Disable fill-triggered dependency wakeups (blocked transactions \
-             are retry-polled instead of parked on waiter lists).")
-  in
-  let no_version_slabs =
-    Arg.(
-      value & flag
-      & info [ "no-version-slabs" ]
-          ~doc:
-            "Disable the slab-arena version store (cache-conscious SoA \
-             chains, whole-slab GC); versions fall back to heap records \
-             and the Condition-3 freelists.")
-  in
   let no_cc_rebalance =
     Arg.(
       value & flag
@@ -206,9 +175,8 @@ let run_cmd =
              diagnostic.")
   in
   let action engine workload threads shards cross_shard_pct theta rows count
-      seed cc_fraction batch no_gc no_annotation preprocess no_probe_memo
-      no_cc_routing no_exec_wakeup no_version_slabs no_cc_rebalance trace
-      timeline latency sanitize =
+      seed cc_fraction batch no_gc no_annotation preprocess no_cc_rebalance
+      trace timeline latency sanitize =
     let ycsb_gen profile =
       if shards > 1 then
         Ycsb.generate_sharded ~rows ~theta ~count ~seed ~shards
@@ -252,10 +220,6 @@ let run_cmd =
         gc = not no_gc;
         read_annotation = not no_annotation;
         preprocess;
-        probe_memo = not no_probe_memo;
-        cc_routing = not no_cc_routing;
-        exec_wakeup = not no_exec_wakeup;
-        version_slabs = not no_version_slabs;
         cc_rebalance = not no_cc_rebalance;
         obs = obs_on;
       }
@@ -354,8 +318,7 @@ let run_cmd =
     Term.(
       const action $ engine $ workload $ threads $ shards $ cross_shard_pct
       $ theta $ rows $ count $ seed $ cc_fraction $ batch $ no_gc
-      $ no_annotation $ preprocess $ no_probe_memo $ no_cc_routing
-      $ no_exec_wakeup $ no_version_slabs $ no_cc_rebalance $ trace $ timeline
+      $ no_annotation $ preprocess $ no_cc_rebalance $ trace $ timeline
       $ latency $ sanitize)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one engine/workload configuration on the simulator.") term
@@ -647,8 +610,19 @@ let report_cmd =
 (* --- bench command --- *)
 
 let bench_cmd =
+  (* An enum converter: every name is validated before anything runs, and
+     an unknown one is a usage error listing the valid names. *)
   let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run (default: all). One of fig4 fig5 fig6 fig7 fig8 tab9 fig10 ablation-batch ablation-annotation ablation-gc ablation-cc-split ablation-preprocess ablation-probe-memo ablation-cc-routing ablation-exec-wakeup ablation-version-slabs fig4-noroute fig4-nowakeup fig4-noslabs latency-profile mvto.")
+    Arg.(
+      value
+      & pos_all
+          (enum (List.map (fun (name, _) -> (name, name)) Experiments.experiments))
+          []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            ("Experiments to run (default: all). One of "
+            ^ String.concat " " (List.map fst Experiments.experiments)
+            ^ "."))
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Shrink sweeps for a smoke run.") in
   let scale =
@@ -660,9 +634,8 @@ let bench_cmd =
     | names ->
         List.iter
           (fun name ->
-            match List.assoc_opt name Experiments.experiments with
-            | Some f -> List.iter Experiments.print (f ~scale ~quick ())
-            | None -> Printf.eprintf "unknown experiment: %s\n" name)
+            let f = List.assoc name Experiments.experiments in
+            List.iter Experiments.print (f ~scale ~quick ()))
           names
   in
   Cmd.v

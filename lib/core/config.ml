@@ -6,18 +6,13 @@ type t = {
   gc : bool;
   read_annotation : bool;
   preprocess : bool;
-  probe_memo : bool;
-  cc_routing : bool;
-  exec_wakeup : bool;
-  version_slabs : bool;
   cc_rebalance : bool;
   obs : bool;
 }
 
 let make ?(cc_threads = 2) ?(exec_threads = 2) ?(batch_size = 1000) ?(shards = 1)
     ?(gc = true) ?(read_annotation = true) ?(preprocess = false)
-    ?(probe_memo = true) ?(cc_routing = true) ?(exec_wakeup = true)
-    ?(version_slabs = true) ?(cc_rebalance = true) ?(obs = false) () =
+    ?(cc_rebalance = true) ?(obs = false) () =
   if cc_threads <= 0 then invalid_arg "Config.make: cc_threads must be positive";
   if exec_threads <= 0 then invalid_arg "Config.make: exec_threads must be positive";
   if batch_size <= 0 then invalid_arg "Config.make: batch_size must be positive";
@@ -31,18 +26,12 @@ let make ?(cc_threads = 2) ?(exec_threads = 2) ?(batch_size = 1000) ?(shards = 1
     gc;
     read_annotation;
     preprocess;
-    probe_memo;
-    cc_routing;
-    exec_wakeup;
-    version_slabs;
     cc_rebalance;
     obs;
   }
 
 let pp fmt t =
   Format.fprintf fmt
-    "cc=%d exec=%d batch=%d shards=%d gc=%b annotate=%b pre=%b memo=%b route=%b \
-     wake=%b slabs=%b rebal=%b obs=%b"
+    "cc=%d exec=%d batch=%d shards=%d gc=%b annotate=%b pre=%b rebal=%b obs=%b"
     t.cc_threads t.exec_threads t.batch_size t.shards t.gc t.read_annotation
-    t.preprocess t.probe_memo t.cc_routing t.exec_wakeup t.version_slabs
-    t.cc_rebalance t.obs
+    t.preprocess t.cc_rebalance t.obs

@@ -5,22 +5,22 @@
 
     - {b Preprocessing threads} (when [Config.preprocess] is on, §3.2.2)
       sweep each batch ahead of the CC layer, computing per transaction
-      which footprint entries each CC thread owns — and, on the memoized
-      path, resolving each footprint key's storage-index slot with the
-      transaction's single probe. Batches are published through a
-      [pre_done] watermark, so preprocessing of batch [b+1] overlaps
-      concurrency control of batch [b].
+      which footprint entries each CC thread owns, resolving each
+      footprint key's storage-index slot with the transaction's single
+      probe, and emitting per-(batch, partition) routing buffers.
+      Batches are published through a [pre_done] watermark, so
+      preprocessing of batch [b+1] overlaps concurrency control of batch
+      [b].
 
     - {b Concurrency-control threads} process a batch's transactions in
-      timestamp order — scanning every transaction, or, with
-      [Config.cc_routing] (and [preprocess]), iterating only the dense
-      per-(batch, partition) routing buffer preprocessing emitted, so
-      transactions owning nothing in the partition are never touched. Each
-      thread owns a hash partition of the key space and, for write-set
-      keys in its partition, inserts an uninitialized placeholder version
-      (drawn from the thread's freelist of Condition-3 GC'd records when
-      [cc_routing] and [gc] are on), invalidates the predecessor, and
-      (optionally) truncates the GC'd tail of the chain. For read-set keys
+      timestamp order — scanning every transaction, or, with [preprocess],
+      iterating only the dense per-(batch, partition) routing buffer
+      preprocessing emitted, so transactions owning nothing in the
+      partition are never touched. Each thread owns a hash partition of
+      the key space and, for write-set keys in its partition,
+      bump-allocates an uninitialized placeholder version into its
+      current slab arena, invalidates the predecessor, and (optionally)
+      truncates the GC'd tail of the chain. For read-set keys
       in its partition it stamps the transaction with a reference to the
       exact version to read (the §3.2.3 read-annotation optimization). CC
       threads synchronize only at batch boundaries, through one barrier.
@@ -37,10 +37,10 @@
       abort.
 
       When a dependency cannot be resolved inline, what happens next is
-      governed by [Config.exec_wakeup]. Off: the transaction goes on its
-      thread's retry list, polled until the dependency completes. On (the
-      default): the thread registers a compact waiter record on the
-      unfilled version itself — publishing a shared registration signal
+      selected by the execution pool's width. Below eight threads per
+      shard, the transaction goes on its thread's retry list, polled until
+      the dependency completes. From eight up, the thread registers a
+      compact waiter record on the unfilled version itself — publishing a shared registration signal
       first, then re-checking the data, so the race against the fill is
       decided by a per-record claim token and no wakeup is ever lost — and
       the thread that fills the version pushes one wakeup onto the parked
@@ -65,9 +65,9 @@
     publishes ready/abort at the batch barrier and merges all peers'
     votes ([Costs.shard_vote] per peer); pre-declared write-sets make
     the merge input identical on every shard, so no coordinator exists
-    and execution may run ahead of the merge. Single-shard transactions
-    — and the [shards = 1] configuration as a whole — run the
-    single-pipeline code paths untouched. *)
+    and execution may run ahead of the merge. One driver serves every
+    shard count: [shards = 1] is its one-pipeline case, with no vote
+    round, unprefixed track names and no shard extras. *)
 
 module Make (R : Bohm_runtime.Runtime_intf.S) : sig
   type t
@@ -88,16 +88,16 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
       by several successive streams.
 
       Extra stat counters: ["gc_collected"] (versions unlinked),
-      ["versions_recycled"] (placeholders drawn from the CC freelists
-      instead of allocated, 0 unless [Config.cc_routing] and [gc]),
       ["dep_blocks"] (execution attempts that hit an unproduced version),
-      ["steals"] (executions completed by a non-responsible thread —
-      found by the shared per-batch steal cursor when [Config.cc_routing],
-      by a full batch rescan otherwise),
+      ["steals"] (executions completed by a non-responsible thread, found
+      by the shared per-batch steal cursor),
       ["exec_retry_scans"] (passes over a thread's blocked list: retry-list
-      sweeps with [Config.exec_wakeup] off, busy-list polls with it on),
-      ["wakeups"] (fill-triggered wakeups pushed; 0 with [exec_wakeup]
-      off),
+      sweeps on pools narrower than eight threads, busy-list polls on
+      wider ones),
+      ["wakeups"] (fill-triggered wakeups pushed; 0 on pools narrower than
+      eight threads),
+      ["slabs_opened"] / ["slabs_retired"] (version arena slabs opened,
+      and freed whole by GC),
       ["cc_batch0_start_us"] / ["pre_complete_us"] (virtual times, in
       microseconds, at which
       CC began batch 0 and preprocessing finished its last batch — the
@@ -123,9 +123,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
 
   val index_probes : t -> int
   (** Charged storage-index probes since the database was created
-      (diagnostic, from {!Bohm_storage.Store.Make.probe_count}): on the
-      memoized hot path ([Config.probe_memo]) a run adds at most one probe
-      per distinct footprint key per transaction. *)
+      (diagnostic, from {!Bohm_storage.Store.Make.probe_count}): a run
+      adds at most one probe per distinct footprint key per
+      transaction. *)
 
   val read_latest : t -> Bohm_txn.Key.t -> Bohm_txn.Value.t
   (** Newest produced value of a key — for post-run inspection; raises
@@ -179,8 +179,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
       commit, so the vote log records a local abort under a merged
       commit, the disagreement {!Bohm_harness.Serialization_check} (via
       the caller) must catch. Set before {!run}; raises
-      [Invalid_argument] if the shard is out of range or the batch
-      negative. Test-only. *)
+      [Invalid_argument] on a one-shard engine (there is no vote round),
+      if the shard is out of range or if the batch is negative.
+      Test-only. *)
 
   val vote_log : t -> (int * int * bool * bool) list
   (** Vote-round outcomes of the last sharded {!run}, one entry per

@@ -32,14 +32,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   let prev_none = -1
   let prev_far = -2
 
-  (* Versions come in two representations. [Heap] is the PR3 store: one
-     record per version, each shared field its own cell — kept intact as
-     the [Config.version_slabs]-off fallback and the determinism anchor,
-     so every operation below must charge exactly what it charged before
-     slabs existed when it runs on this arm. [Slab] is an (arena, index)
-     handle into the columns described above. A handle is boxed exactly
-     once, at allocation; every chain link stores that one value, so
-     physical equality on versions keeps working. *)
+  (* Versions come in two representations. [Heap] is a bulk-loaded
+     version ({!initial}): one record, each shared field its own cell —
+     bulk load predates any batch, so no slab owns it, and it sits at the
+     tail of every chain. [Slab] is an (arena, index) handle into the
+     columns described above; every version a CC thread inserts is one.
+     A handle is boxed exactly once, at allocation; every chain link
+     stores that one value, so physical equality on versions keeps
+     working. *)
   type 'txn t = Heap of 'txn heap | Slab of 'txn slab * int
 
   and 'txn heap = {
@@ -164,11 +164,11 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   (* --- Field access, dual representation ---
 
-     The heap arm reproduces the pre-slab charge sequences exactly:
-     [begin_ts] is a free record-field read (the record load is what the
-     chain link's cell read already paid for), the others one cell
-     operation. The slab arm charges one line access per touched column
-     slot — the first touch of a lane misses, its seven neighbours hit. *)
+     On the heap arm [begin_ts] is a free record-field read (the record
+     load is what the chain link's cell read already paid for), the
+     others one cell operation. The slab arm charges one line access per
+     touched column slot — the first touch of a lane misses, its seven
+     neighbours hit. *)
 
   let line_get cells i = (R.Cell.get cells.(i / lane_width)).(i mod lane_width)
 
@@ -244,44 +244,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
         h_waiters = make_waitq Sealed;
       }
 
-  let placeholder ~ts ~producer ~prev =
-    let data = R.Cell.make None in
-    R.Cell.mark_sync data;
-    Heap
-      {
-        h_begin = ts;
-        h_end = R.Cell.make infinity_ts;
-        h_data = data;
-        h_producer = Some producer;
-        h_prev = R.Cell.make (Some prev);
-        h_waiters = make_waitq (Waiting []);
-      }
-
-  (* Reinitialize a reclaimed heap record as [placeholder] would build it.
-     The cells are made fresh rather than reset: [Cell.make] is free in
-     the cost model ("allocation is not modelled") whereas resetting a
-     cell another core last touched would charge an ownership transfer the
-     real machine does not pay at allocation time — and fresh cells carry
-     no stale access history into the race tracer. What recycling saves is
-     the allocator/GC pressure on the record itself, charged by the engine
-     as [Costs.cc_insert_recycled] versus a fresh insert's work. *)
-  let recycle v ~ts ~producer ~prev =
-    match v with
-    | Slab _ ->
-        (* Slab entries die with their slab (truncate_retire), never one
-           by one through a freelist. *)
-        invalid_arg "Version.recycle: slab-allocated version"
-    | Heap h ->
-        let data = R.Cell.make None in
-        R.Cell.mark_sync data;
-        h.h_begin <- ts;
-        h.h_end <- R.Cell.make infinity_ts;
-        h.h_data <- data;
-        h.h_producer <- Some producer;
-        h.h_prev <- R.Cell.make (Some prev);
-        h.h_waiters <- make_waitq (Waiting []);
-        v
-
   let rec visible_at v ~ts =
     if begin_ts v <= ts then Some v
     else match prev v with None -> None | Some older -> visible_at older ~ts
@@ -291,39 +253,6 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       match prev v with None -> acc | Some older -> go older (acc + 1)
     in
     go v 1
-
-  let truncate_collect v ~gc_ts =
-    match visible_at v ~ts:gc_ts with
-    | None -> []
-    | Some keep -> (
-        match prev keep with
-        | None -> []
-        | Some older ->
-            let rec collect v acc =
-              let acc = v :: acc in
-              match prev v with None -> acc | Some p -> collect p acc
-            in
-            let dropped = collect older [] in
-            cut_prev keep;
-            dropped)
-
-  (* Same walk and cut as [truncate_collect] — the identical charge
-     sequence — but counting instead of consing: the dropped records are
-     not wanted, so no list is built just to measure it. *)
-  let truncate_older_than v ~gc_ts =
-    match visible_at v ~ts:gc_ts with
-    | None -> 0
-    | Some keep -> (
-        match prev keep with
-        | None -> 0
-        | Some older ->
-            let rec count v n =
-              let n = n + 1 in
-              match prev v with None -> n | Some p -> count p n
-            in
-            let n = count older 0 in
-            cut_prev keep;
-            n)
 
   (* --- Slab allocation and whole-slab GC --- *)
 
@@ -357,10 +286,9 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   let slabs_opened al = al.al_opened
   let slabs_retired al = al.al_retired
 
-  (* Retirement is the whole point of the shape change: Condition-3 GC
-     pays one owner-local counter decrement per dropped version and one
-     [Costs.slab_retire] charge per emptied slab, instead of consing
-     every dropped record onto a freelist. Only closed slabs retire —
+  (* Condition-3 GC pays one owner-local counter decrement per dropped
+     version and one [Costs.slab_retire] charge per emptied slab. Only
+     closed slabs retire —
      the open slab's entries all sit above the watermark (their begin
      timestamps are in the current batch), so it can never drain. *)
   (* [al] is the calling thread's allocator, which under repartitioning
@@ -431,7 +359,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
      batch (slabs never span batches — that is what makes whole-slab
      retirement line up with the batch watermark). Charges the two hot
      column-line stores; the caller charges [Costs.cc_insert_slab] for
-     the surrounding bookkeeping, mirroring the fresh/recycled paths. *)
+     the surrounding bookkeeping. *)
   let slab_placeholder al ~batch ~ts ~producer ~prev:p =
     let s =
       match al.al_cur with
@@ -462,8 +390,8 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
 
   let slab_batch = function Heap _ -> None | Slab (s, _) -> Some s.s_batch
 
-  (* Slab-shaped Condition-3 truncation: the same chain walk and cut as
-     [truncate_collect], but each dropped slab entry decrements its
+  (* Condition-3 truncation: find the newest version visible at [gc_ts]
+     and cut the chain below it. Each dropped slab entry decrements its
      slab's live count (heap records met mid-chain — bulk-loaded tails —
      are just counted), and a slab whose count reaches zero retires
      whole. Returns (versions dropped, slabs retired by this call).

@@ -8,17 +8,16 @@
     ("Prev Pointer", rewritten only when GC truncates the chain).
 
     Versions come in two physical representations behind one abstract
-    type. The {e heap} store ({!placeholder}/{!recycle}) is one record per
-    version, each shared field its own cell — the [Config.version_slabs]-
-    off fallback, kept charge-identical to the pre-slab engine. The
-    {e slab} store ({!slab_placeholder}) bump-allocates entries into
-    per-(CC-thread, batch) arena slabs whose hot fields — begin/end
-    timestamps and the prev link — live in struct-of-arrays columns
-    packed {!lane_width} entries per cache line, so chain walks and the
-    CC insert loop amortize one miss across a lane instead of paying one
-    miss per record; cold fields (data, producer, waiters) stay in a
-    parallel per-entry payload column. Condition-3 GC retires whole slabs
-    ({!truncate_retire}) instead of consing freelists.
+    type. A bulk-loaded version ({!initial}) is a {e heap} record, each
+    shared field its own cell; it sits at the tail of its key's chain.
+    Every version a CC thread inserts lives in the {e slab} store
+    ({!slab_placeholder}), bump-allocated into per-(CC-thread, batch)
+    arena slabs whose hot fields — begin/end timestamps and the prev
+    link — live in struct-of-arrays columns packed {!lane_width} entries
+    per cache line, so chain walks and the CC insert loop amortize one
+    miss across a lane instead of paying one miss per record; cold
+    fields (data, producer, waiters) stay in a parallel per-entry payload
+    column. Condition-3 GC retires whole slabs ({!truncate_retire}).
 
     The type is polymorphic in the producer so it can reference the
     engine's transaction wrapper without a circular dependency. *)
@@ -57,8 +56,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
 
   (** {2 Field access}
 
-      On the heap representation each accessor charges exactly what the
-      pre-slab record field did: {!begin_ts} is a free record-field read
+      On the heap representation {!begin_ts} is a free record-field read
       (the record load was already paid by the chain link's cell read),
       the rest one cell operation. On the slab representation, accessing
       a hot field charges one column-line access — the first touch of a
@@ -130,30 +128,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
       nor self-served — at quiescence any such record is a lost wakeup.
       For the chain audit; uncharged use only. *)
 
-  (** {2 Heap store (slabs-off fallback)} *)
+  (** {2 Bulk-loaded versions} *)
 
   val initial : Bohm_txn.Value.t -> 'txn t
   (** A bulk-loaded version: begin 0, end infinity, data present. Always
       heap-allocated — bulk load predates any batch, so there is no slab
       to own it. *)
-
-  val placeholder : ts:int -> producer:'txn -> prev:'txn t -> 'txn t
-  (** The heap version the CC thread inserts for a write: data
-      uninitialized, end infinity, linked to [prev]. Does {e not} modify
-      [prev]; the caller invalidates it ({!set_end_ts}) as a separate
-      step so tests can observe the intermediate state. *)
-
-  val recycle : 'txn t -> ts:int -> producer:'txn -> prev:'txn t -> 'txn t
-  (** Reinitialize a heap record reclaimed by {!truncate_collect} so it is
-      indistinguishable from a fresh {!placeholder} (returns the same
-      record, reinitialized). The cells are rebuilt fresh — allocation is
-      uncharged in the cost model and fresh cells carry no stale access
-      history into the race tracer; what recycling saves is the record
-      allocation itself, which the engine charges as
-      [Costs.cc_insert_recycled] instead of a fresh insert's work. Sound
-      only for records truncated under Condition 3: every transaction that
-      could see the old incarnation has finished executing. Raises
-      [Invalid_argument] on a slab entry — those die with their slab. *)
 
   (** {2 Slab store} *)
 
@@ -181,18 +161,20 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
       opening a fresh slab when the current one is full or served an
       older batch (slabs never span batches). Charges the begin- and
       prev-column line stores; the caller charges [Costs.cc_insert_slab]
-      for the surrounding bookkeeping, mirroring the fresh/recycled
-      paths. *)
+      for the surrounding bookkeeping. *)
 
   val truncate_retire : 'txn alloc -> 'txn t -> gc_ts:int -> int * int
-  (** Slab-shaped Condition-3 truncation: the same walk and cut as
-      {!truncate_collect}, but each dropped slab entry decrements its
-      slab's live count — one owner-local counter per version instead of
-      a freelist cons — and a closed slab whose count reaches zero
-      retires whole (one [Costs.slab_retire] charge). Returns (versions
-      dropped, slabs retired by this call). Same Condition-3 contract as
-      {!truncate_older_than}; the caller is the key's current owner,
-      which under adaptive repartitioning may differ from a chained
+  (** Condition-3 truncation: from [v], find the newest version with
+      [begin_ts <= gc_ts] and cut the chain below it. Each dropped slab
+      entry decrements its slab's live count — one owner-local counter
+      per version — and a closed slab whose count reaches zero retires
+      whole (one [Costs.slab_retire] charge); dropped heap records
+      (bulk-loaded tails) are just counted. Returns (versions dropped,
+      slabs retired by this call). Only the CC thread owning the key's
+      partition may call this (single-writer chains); concurrent readers
+      at [ts > gc_ts] never reach the cut region, which is the RCU
+      argument of §3.3.2, Condition 3. The caller is the key's current
+      owner, which under adaptive repartitioning may differ from a chained
       slab's allocator (the retirement is then attributed to the
       caller's counters — stats sum over all allocators). *)
 
@@ -220,19 +202,4 @@ module Make (R : Bohm_runtime.Runtime_intf.S) : sig
       chain holds no version that old (it was GC'd or never existed). *)
 
   val chain_length : 'txn t -> int
-
-  val truncate_older_than : 'txn t -> gc_ts:int -> int
-  (** From [v], find the newest version with [begin_ts <= gc_ts] and cut
-      the chain below it; returns the number of versions unlinked —
-      counted during the walk, no list is materialized. Only the CC
-      thread owning the record's partition may call this (single-writer
-      chains); concurrent readers at [ts > gc_ts] never reach the cut
-      region, which is the RCU argument of §3.3.2, Condition 3. *)
-
-  val truncate_collect : 'txn t -> gc_ts:int -> 'txn t list
-  (** Like {!truncate_older_than} but returns the unlinked records (in
-      unspecified order) so the caller can feed a freelist and later
-      {!recycle} them. Same single-writer / Condition-3 contract — and the
-      same charge sequence, so the truncation entry points are
-      interchangeable in the cost model. *)
 end

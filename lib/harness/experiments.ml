@@ -53,8 +53,7 @@ let ycsb_spec ?(rows = ycsb_rows) ?(bytes = ycsb_bytes) () =
 
 (* --- Figure 4: CC / execution interaction --- *)
 
-let fig4_series ~cc_routing ~exec_wakeup ~version_slabs ~title ~notes ~scale
-    ~quick =
+let fig4 ?(scale = 1.0) ?(quick = false) () =
   let count = scaled scale 8_000 in
   let rows = ycsb_rows in
   (* Small records and uniform access put all the stress on the CC layer
@@ -69,86 +68,24 @@ let fig4_series ~cc_routing ~exec_wakeup ~version_slabs ~title ~notes ~scale
         ( string_of_int exec,
           List.map
             (fun cc ->
-              let stats =
-                Runner.run_bohm_sim ~cc ~exec ~cc_routing ~exec_wakeup
-                  ~version_slabs spec txns
-              in
-              Some (Stats.throughput stats))
+              Some (Stats.throughput (Runner.run_bohm_sim ~cc ~exec spec txns)))
             cc_counts ))
       exec_counts
   in
   [
     {
-      title;
+      title = "Figure 4: concurrency control / execution interaction (txns/s)";
       x_label = "exec threads";
       columns = List.map (fun cc -> Printf.sprintf "CC=%d" cc) cc_counts;
       rows = rows_data;
-      notes;
+      notes =
+        [
+          "10RMW, 8-byte records, uniform keys: maximal stress on the CC layer.";
+          "Expected: throughput rises with exec threads until the CC layer's";
+          "ceiling; more CC threads raise the ceiling (intra-txn parallelism).";
+        ];
     };
   ]
-
-let fig4 ?(scale = 1.0) ?(quick = false) () =
-  fig4_series ~cc_routing:true ~exec_wakeup:true ~version_slabs:true
-    ~title:"Figure 4: concurrency control / execution interaction (txns/s)"
-    ~notes:
-      [
-        "10RMW, 8-byte records, uniform keys: maximal stress on the CC layer.";
-        "Expected: throughput rises with exec threads until the CC layer's";
-        "ceiling; more CC threads raise the ceiling (intra-txn parallelism).";
-      ]
-    ~scale ~quick
-
-(* The same sweep with batch routing and wakeups off: the engine retraces
-   the PR 1 code paths instruction for instruction, so this series must
-   stay bit-for-bit identical to the fig4 series of BENCH_PR1.json — the
-   determinism gate bench/smoke.sh enforces on the --quick cells. *)
-let fig4_noroute ?(scale = 1.0) ?(quick = false) () =
-  fig4_series ~cc_routing:false ~exec_wakeup:false ~version_slabs:false
-    ~title:
-      "Figure 4 (cc_routing off): concurrency control / execution \
-       interaction (txns/s)"
-    ~notes:
-      [
-        "Batch routing and fill-triggered wakeups disabled: scan dispatch,";
-        "allocate-always inserts, rescan stealing and retry polling — the";
-        "exact PR 1 engine, kept as a determinism anchor (must reproduce";
-        "BENCH_PR1.json's fig4 bit-for-bit).";
-      ]
-    ~scale ~quick
-
-(* Routing on, wakeups off: the exact PR 3 engine — the second determinism
-   anchor (must reproduce BENCH_PR3.json's fig4 bit-for-bit). *)
-let fig4_nowakeup ?(scale = 1.0) ?(quick = false) () =
-  fig4_series ~cc_routing:true ~exec_wakeup:false ~version_slabs:false
-    ~title:
-      "Figure 4 (exec_wakeup off): concurrency control / execution \
-       interaction (txns/s)"
-    ~notes:
-      [
-        "Fill-triggered wakeups disabled: blocked transactions sit on their";
-        "thread's retry list and are polled — the exact PR 3 engine, kept";
-        "as a determinism anchor (must reproduce BENCH_PR3.json's fig4";
-        "bit-for-bit).";
-      ]
-    ~scale ~quick
-
-(* Routing and wakeups on, slab store off: the exact PR 4/5 engine —
-   heap-record versions drawn from the Condition-3 freelists — the third
-   determinism anchor (must reproduce BENCH_PR4.json's fig4
-   bit-for-bit). *)
-let fig4_noslabs ?(scale = 1.0) ?(quick = false) () =
-  fig4_series ~cc_routing:true ~exec_wakeup:true ~version_slabs:false
-    ~title:
-      "Figure 4 (version_slabs off): concurrency control / execution \
-       interaction (txns/s)"
-    ~notes:
-      [
-        "Slab-arena version store disabled: placeholders are heap records";
-        "drawn from the per-thread Condition-3 freelists and GC unlinks";
-        "version by version - the exact PR 4 engine, kept as a determinism";
-        "anchor (must reproduce BENCH_PR4.json's fig4 bit-for-bit).";
-      ]
-    ~scale ~quick
 
 (* --- Figure 4 extension: multi-shard scaling --- *)
 
@@ -599,235 +536,6 @@ let ablation_preprocess ?(scale = 1.0) ?(quick = false) () =
     };
   ]
 
-let ablation_probe_memo ?(scale = 1.0) ?(quick = false) () =
-  let count = scaled scale 8_000 in
-  let spec = ycsb_spec ~bytes:8 () in
-  (* The fig4 workload: 10RMW, uniform, small records — maximal stress on
-     the CC layer, whose per-key work the probe-once path shrinks. *)
-  let txns =
-    Ycsb.generate ~rows:ycsb_rows ~theta:0.0 ~count ~seed:171 (Ycsb.rmw_profile 10)
-  in
-  let exec = if quick then 8 else 20 in
-  let ccs = if quick then [ 4 ] else [ 1; 2; 4; 8 ] in
-  let rows_data =
-    List.map
-      (fun cc ->
-        let run probe_memo =
-          Some
-            (Stats.throughput
-               (Runner.run_bohm_sim ~cc ~exec ~preprocess:true ~probe_memo spec
-                  txns))
-        in
-        (Printf.sprintf "CC=%d" cc, [ run false; run true ]))
-      ccs
-  in
-  [
-    {
-      title =
-        Printf.sprintf
-          "Ablation: probe-once slot memoization, %d exec threads (fig4 workload)"
-          exec;
-      x_label = "cc threads";
-      columns = [ "re-probe (txns/s)"; "memoized (txns/s)" ];
-      rows = rows_data;
-      notes =
-        [
-          "Both columns run the pipelined preprocessing stage; the re-probing";
-          "path hash-probes each footprint key again in cc_annotate_read and";
-          "cc_insert_write, while the memoized path resolves the slot once";
-          "during preprocessing and the CC/exec layers consume the handle.";
-          "The delta is the CC-layer probe work the paper's read-annotation";
-          "design (3.2.3) lets BOHM hoist off the critical path.";
-        ];
-    };
-  ]
-
-let ablation_cc_routing ?(scale = 1.0) ?(quick = false) () =
-  let count = scaled scale 8_000 in
-  let spec = ycsb_spec ~bytes:8 () in
-  (* The fig4 workload again: with 10-key footprints spread over many
-     partitions, most (batch, partition) dispatches own nothing — exactly
-     the skip work dense routing eliminates. *)
-  let txns =
-    Ycsb.generate ~rows:ycsb_rows ~theta:0.0 ~count ~seed:41 (Ycsb.rmw_profile 10)
-  in
-  let exec = if quick then 8 else 20 in
-  let ccs = if quick then [ 4 ] else [ 1; 2; 4; 8 ] in
-  let extra stats name =
-    match Stats.extra stats name with Some f -> f | None -> 0.
-  in
-  let rows_data =
-    List.map
-      (fun cc ->
-        let run cc_routing =
-          Runner.run_bohm_sim ~cc ~exec ~preprocess:true ~cc_routing spec txns
-        in
-        let scan = run false in
-        let routed = run true in
-        ( Printf.sprintf "CC=%d" cc,
-          [
-            Some (Stats.throughput scan);
-            Some (Stats.throughput routed);
-            Some (extra routed "versions_recycled");
-            Some (extra routed "steals");
-            Some (extra routed "dep_blocks");
-          ] ))
-      ccs
-  in
-  [
-    {
-      title =
-        Printf.sprintf
-          "Ablation: batch-routed CC dispatch + version recycling, %d exec \
-           threads (fig4 workload)"
-          exec;
-      x_label = "cc threads";
-      columns =
-        [
-          "scan (txns/s)";
-          "routed (txns/s)";
-          "recycled";
-          "steals";
-          "dep_blocks";
-        ];
-      rows = rows_data;
-      notes =
-        [
-          "Both columns run the pipelined preprocessing stage. The scan path";
-          "dispatches on every transaction of a batch per partition; the routed";
-          "path iterates the dense per-(batch, partition) index slice that";
-          "preprocessing emits, recycles Condition-3 GC'd versions through";
-          "partition-local freelists, and steals via the shared batch cursor.";
-          "The last three columns are the routed run's counters.";
-        ];
-    };
-  ]
-
-let ablation_exec_wakeup ?(scale = 1.0) ?(quick = false) () =
-  let count = scaled scale 8_000 in
-  let spec = ycsb_spec ~bytes:8 () in
-  (* The fig4 workload under high contention: skewed 10RMW chains
-     transactions on each other's placeholders, so the execution layer
-     spends its time on unresolved dependencies — exactly the retries the
-     wakeup protocol converts into queue pushes. *)
-  let txns =
-    Ycsb.generate ~rows:ycsb_rows ~theta:0.9 ~count ~seed:41 (Ycsb.rmw_profile 10)
-  in
-  let cc = 4 in
-  let execs = if quick then [ 1; 8 ] else [ 1; 2; 4; 8; 12; 16; 20 ] in
-  let extra stats name =
-    match Stats.extra stats name with Some f -> f | None -> 0.
-  in
-  let rows_data =
-    List.map
-      (fun exec ->
-        let run exec_wakeup =
-          Runner.run_bohm_sim ~cc ~exec ~exec_wakeup spec txns
-        in
-        let retry = run false in
-        let wakeup = run true in
-        ( string_of_int exec,
-          [
-            Some (Stats.throughput retry);
-            Some (Stats.throughput wakeup);
-            Some (extra retry "exec_retry_scans");
-            Some (extra wakeup "exec_retry_scans");
-            Some (extra wakeup "wakeups");
-            Some (extra wakeup "dep_blocks");
-          ] ))
-      execs
-  in
-  [
-    {
-      title =
-        Printf.sprintf
-          "Ablation: fill-triggered dependency wakeup, CC=%d (fig4 workload, \
-           theta=0.9)"
-          cc;
-      x_label = "exec threads";
-      columns =
-        [
-          "retry (txns/s)";
-          "wakeup (txns/s)";
-          "retry scans (off)";
-          "busy polls (on)";
-          "wakeups";
-          "dep_blocks";
-        ];
-      rows = rows_data;
-      notes =
-        [
-          "Both columns run batch-routed CC. The retry path re-polls each";
-          "blocked transaction's dependency state until it resolves; the";
-          "wakeup path parks a waiter record on the unfilled version and the";
-          "filling thread pushes one ready-queue wakeup per waiter — one";
-          "re-attempt per resolved dependency instead of polling.";
-        ];
-    };
-  ]
-
-(* Slab arena against the heap-record/freelist store, on the fig4
-   workload at the execution-thread ceiling: with exec threads saturated,
-   throughput is set by per-version costs on both sides of the pipeline —
-   placeholder insertion and GC in the CC layer, chain walks in the
-   execution layer — which is exactly what the slab layout changes. *)
-let ablation_version_slabs ?(scale = 1.0) ?(quick = false) () =
-  let count = scaled scale 8_000 in
-  let spec = ycsb_spec ~bytes:8 () in
-  let txns =
-    Ycsb.generate ~rows:ycsb_rows ~theta:0.0 ~count ~seed:41
-      (Ycsb.rmw_profile 10)
-  in
-  let exec = if quick then 8 else 20 in
-  let cc_counts = if quick then [ 4 ] else [ 1; 2; 4; 8 ] in
-  let extra stats name =
-    match Stats.extra stats name with Some f -> f | None -> 0.
-  in
-  let rows_data =
-    List.map
-      (fun cc ->
-        let run version_slabs =
-          Runner.run_bohm_sim ~cc ~exec ~version_slabs spec txns
-        in
-        let freelist = run false in
-        let slabs = run true in
-        ( string_of_int cc,
-          [
-            Some (Stats.throughput freelist);
-            Some (Stats.throughput slabs);
-            Some (extra slabs "slabs_opened");
-            Some (extra slabs "slabs_retired");
-            Some (extra slabs "gc_collected");
-          ] ))
-      cc_counts
-  in
-  [
-    {
-      title =
-        Printf.sprintf
-          "Ablation: slab-arena version store, exec=%d (fig4 workload)" exec;
-      x_label = "cc threads";
-      columns =
-        [
-          "freelist (txns/s)";
-          "slabs (txns/s)";
-          "slabs_opened";
-          "slabs_retired";
-          "gc_collected";
-        ];
-      rows = rows_data;
-      notes =
-        [
-          "Both columns run batch-routed CC with wakeups on. The freelist";
-          "store allocates one heap record per version (recycled through";
-          "per-thread Condition-3 freelists); the slab store bump-allocates";
-          "into per-(thread, batch) arenas with begin/prev timestamp";
-          "columns packed eight per cache line, and GC retires drained";
-          "slabs whole instead of consing records onto a freelist.";
-        ];
-    };
-  ]
-
 (* Adaptive CC repartitioning against the static hash, on the skewed fig4
    workload: with theta = 0.9 a handful of hash segments carry most of the
    footprint, the CC batch barrier runs at the hottest partition's pace,
@@ -1026,16 +734,6 @@ let latency_profile ?(scale = 1.0) ?(quick = false) () =
         let stats, _recorder = Runner.run_sim_obs engine ~threads spec txns in
         summarize (Runner.name engine) stats)
       (Runner.all @ [ Runner.Mvto ])
-    (* BOHM once more with the slab store off: the heap-record/freelist
-       chains, for the before/after comparison in EXPERIMENTS.md. *)
-    @
-    let bohm =
-      { Runner.default_bohm_opts with Runner.version_slabs = false }
-    in
-    let stats, _recorder =
-      Runner.run_sim_obs ~bohm Runner.Bohm ~threads spec txns
-    in
-    summarize "Bohm(noslabs)" stats
   in
   [
     {
@@ -1054,8 +752,6 @@ let latency_profile ?(scale = 1.0) ?(quick = false) () =
           "dependencies or abort-retry backoff), exec (transaction";
           "logic). Virtual cycles from the simulator clock; recording";
           "is host-side, so the observed schedule is the unobserved one.";
-          "Bohm(noslabs) is BOHM with the slab-arena version store";
-          "disabled (heap-record chains off the Condition-3 freelists).";
         ];
     };
   ]
@@ -1241,15 +937,8 @@ let experiments =
     ("ablation-gc", ablation_gc);
     ("ablation-cc-split", ablation_cc_split);
     ("ablation-preprocess", ablation_preprocess);
-    ("ablation-probe-memo", ablation_probe_memo);
-    ("ablation-cc-routing", ablation_cc_routing);
-    ("ablation-exec-wakeup", ablation_exec_wakeup);
-    ("ablation-version-slabs", ablation_version_slabs);
     ("ablation-cc-rebalance", ablation_cc_rebalance);
     ("flash-crowd", flash_crowd);
-    ("fig4-noroute", fig4_noroute);
-    ("fig4-nowakeup", fig4_nowakeup);
-    ("fig4-noslabs", fig4_noslabs);
     ("fig4-shards", fig4_shards);
     ("latency-profile", latency_profile);
     ("critical-path", critical_path);

@@ -34,10 +34,6 @@ type bohm_opts = {
   gc : bool;
   read_annotation : bool;
   preprocess : bool;
-  probe_memo : bool;
-  cc_routing : bool;
-  exec_wakeup : bool;
-  version_slabs : bool;
   cc_rebalance : bool;
   obs : bool;
 }
@@ -50,10 +46,6 @@ let default_bohm_opts =
     gc = true;
     read_annotation = true;
     preprocess = false;
-    probe_memo = true;
-    cc_routing = true;
-    exec_wakeup = true;
-    version_slabs = true;
     cc_rebalance = true;
     obs = false;
   }
@@ -65,14 +57,11 @@ let split_threads opts threads =
   (cc, exec)
 
 let run_bohm_sim ~cc ~exec ?(batch = 1000) ?(shards = 1) ?(gc = true)
-    ?(annotate = true) ?(preprocess = false) ?(probe_memo = true)
-    ?(cc_routing = true) ?(exec_wakeup = true) ?(version_slabs = true)
-    ?(cc_rebalance = true) spec txns =
+    ?(annotate = true) ?(preprocess = false) ?(cc_rebalance = true) spec txns =
   Sim.run (fun () ->
       let config =
         Bohm_core.Config.make ~cc_threads:cc ~exec_threads:exec ~batch_size:batch
-          ~shards ~gc ~read_annotation:annotate ~preprocess ~probe_memo
-          ~cc_routing ~exec_wakeup ~version_slabs ~cc_rebalance ()
+          ~shards ~gc ~read_annotation:annotate ~preprocess ~cc_rebalance ()
       in
       let db = Bohm_sim.create config ~tables:spec.tables spec.init in
       Bohm_sim.run db txns)
@@ -95,8 +84,6 @@ let run_engine ?report ~bohm engine ~threads spec txns =
             Bohm_core.Config.make ~cc_threads:cc ~exec_threads:exec
               ~batch_size:bohm.batch_size ~shards:bohm.shards ~gc:bohm.gc
               ~read_annotation:bohm.read_annotation ~preprocess:bohm.preprocess
-              ~probe_memo:bohm.probe_memo ~cc_routing:bohm.cc_routing
-              ~exec_wakeup:bohm.exec_wakeup ~version_slabs:bohm.version_slabs
               ~cc_rebalance:bohm.cc_rebalance ~obs:bohm.obs ()
           in
           let db = Bohm_sim.create config ~tables:spec.tables spec.init in

@@ -37,7 +37,7 @@ val depth : t -> int
     saved depth so aborts cannot leave spans dangling. *)
 
 val instant : ?batch:int -> ?value:int -> t -> name:string -> ts:int -> unit
-(** A zero-duration event (steal, wakeup, recycle, abort, …). *)
+(** A zero-duration event (steal, wakeup, abort, …). *)
 
 val events : t -> event list
 (** In append order. *)

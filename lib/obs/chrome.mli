@@ -5,7 +5,7 @@
     opens with a ["thread_name"] metadata event, followed by the track's
     events in append order: ["B"]/["E"] duration events for spans,
     ["i"] instant events for point occurrences (steals, wakeups,
-    recycles, aborts). Timestamps are the recorded [now_ns] values
+    aborts). Timestamps are the recorded [now_ns] values
     converted to the format's microseconds (so under Sim, 1 "µs" is
     1000 simulated cycles).
 

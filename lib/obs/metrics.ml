@@ -52,17 +52,13 @@ let g name doc = define ~doc Gauge name
 let gc_collected =
   c "gc_collected" "versions unlinked by Condition-3 GC (CC threads)"
 
-let versions_recycled =
-  c "versions_recycled"
-    "placeholder versions served from a freelist or slab reuse"
-
 let dep_blocks =
   c "dep_blocks" "exec attempts parked on an unfilled dependency"
 
 let steals = c "steals" "exec cursor steals from a sibling's stripe"
 
 let exec_retry_scans =
-  c "exec_retry_scans" "retry-list rescans by exec threads (wakeup off)"
+  c "exec_retry_scans" "retry-list or busy-list rescans by exec threads"
 
 let wakeups =
   c "wakeups" "fill-triggered dependency wakeups delivered to exec"

@@ -37,7 +37,6 @@ val find : string -> def option
     DESIGN.md table. BOHM pipeline: *)
 
 val gc_collected : def
-val versions_recycled : def
 val dep_blocks : def
 val steals : def
 val exec_retry_scans : def

@@ -19,7 +19,6 @@ type record = {
   tl_steals : int;
   tl_wakeups : int;
   tl_retry_scans : int;
-  tl_recycled : int;
   tl_dep_stall : int; (* blamed stall cycles (dep_stall:* instants) *)
   tl_slab_occ : int; (* max open-slab count sampled at cc span ends *)
   tl_cc_imbalance : float; (* max measured partition imbalance *)
@@ -61,7 +60,6 @@ type acc = {
   mutable a_steals : int;
   mutable a_wakeups : int;
   mutable a_retry_scans : int;
-  mutable a_recycled : int;
   mutable a_dep_stall : int;
   mutable a_slab_occ : int;
   mutable a_imb : float;
@@ -77,7 +75,6 @@ let acc_make () =
     a_steals = 0;
     a_wakeups = 0;
     a_retry_scans = 0;
-    a_recycled = 0;
     a_dep_stall = 0;
     a_slab_occ = 0;
     a_imb = 0.;
@@ -145,7 +142,6 @@ let of_recorder ?(capacity = default_capacity) recorder =
                   | "steal" -> a.a_steals <- a.a_steals + 1
                   | "wakeup" -> a.a_wakeups <- a.a_wakeups + 1
                   | "retry_scan" -> a.a_retry_scans <- a.a_retry_scans + 1
-                  | "recycle" -> a.a_recycled <- a.a_recycled + 1
                   | "batch_commit" -> a.a_committed <- a.a_committed + value
                   | "slab_occ" ->
                       if value > a.a_slab_occ then a.a_slab_occ <- value
@@ -186,7 +182,6 @@ let of_recorder ?(capacity = default_capacity) recorder =
         tl_steals = a.a_steals;
         tl_wakeups = a.a_wakeups;
         tl_retry_scans = a.a_retry_scans;
-        tl_recycled = a.a_recycled;
         tl_dep_stall = a.a_dep_stall;
         tl_slab_occ = a.a_slab_occ;
         tl_cc_imbalance = a.a_imb;
@@ -231,9 +226,9 @@ let jsonl_line r =
   Buffer.add_string b
     (Printf.sprintf
        ", \"committed\": %d, \"steals\": %d, \"wakeups\": %d, \
-        \"retry_scans\": %d, \"recycled\": %d, \"dep_stall\": %d, \
+        \"retry_scans\": %d, \"dep_stall\": %d, \
         \"slab_occ\": %d, \"cc_imbalance\": %.3f, \"votes\": {"
-       r.tl_committed r.tl_steals r.tl_wakeups r.tl_retry_scans r.tl_recycled
+       r.tl_committed r.tl_steals r.tl_wakeups r.tl_retry_scans
        r.tl_dep_stall r.tl_slab_occ r.tl_cc_imbalance);
   List.iteri
     (fun i (track, d) ->

@@ -6,7 +6,7 @@
     BOHM; lock / exec / commit for the single-layer baselines, which
     attribute their per-txn spans to nominal batches of
     {!baseline_quantum} transactions), committed transactions, steal /
-    wakeup / retry-scan / recycle counts, blamed dependency-stall cycles,
+    wakeup / retry-scan counts, blamed dependency-stall cycles,
     peak open-slab occupancy, measured CC imbalance, and the per-voter
     vote-round durations.
 
@@ -26,7 +26,6 @@ type record = {
   tl_steals : int;
   tl_wakeups : int;
   tl_retry_scans : int;
-  tl_recycled : int;
   tl_dep_stall : int;
   tl_slab_occ : int;
   tl_cc_imbalance : float;
@@ -53,7 +52,7 @@ val jsonl_line : record -> string
     [finish], [makespan], the fixed [d_<stage>] durations (always
     present, 0 when absent; [d_vote] is the [shard_vote] stage),
     [d_<other>] for non-pipeline stages, [committed], [steals],
-    [wakeups], [retry_scans], [recycled], [dep_stall], [slab_occ],
+    [wakeups], [retry_scans], [dep_stall], [slab_occ],
     [cc_imbalance], and a [votes] object keyed by voter track. *)
 
 val write_jsonl : path:string -> record list -> unit

@@ -15,8 +15,8 @@
 
     {b Probe-once discipline}: because the index is immutable, a slot
     handle returned by {!probe}/{!get} stays valid forever. Hot paths
-    should resolve each key once and cache the handle (the BOHM engine's
-    [probe_memo] path) rather than re-probing; {!probe_count} makes the
+    should resolve each key once and cache the handle (as the BOHM
+    engine's per-transaction slot cache does) rather than re-probing; {!probe_count} makes the
     discipline testable. *)
 
 val array_probe_cost : int

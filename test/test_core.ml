@@ -38,11 +38,9 @@ let transfer_txn id a b n =
       Txn.Commit)
 
 let default_config ?(cc = 2) ?(ex = 2) ?(batch = 16) ?(gc = true) ?(annotate = true)
-    ?(preprocess = false) ?(probe_memo = true) ?(routing = true)
-    ?(slabs = true) ?(rebalance = true) () =
+    ?(preprocess = false) ?(rebalance = true) () =
   Config.make ~cc_threads:cc ~exec_threads:ex ~batch_size:batch ~gc
-    ~read_annotation:annotate ~preprocess ~probe_memo ~cc_routing:routing
-    ~version_slabs:slabs ~cc_rebalance:rebalance ()
+    ~read_annotation:annotate ~preprocess ~cc_rebalance:rebalance ()
 
 let run_sim ?config txns =
   let config = match config with Some c -> c | None -> default_config () in
@@ -60,8 +58,7 @@ let test_config_defaults () =
   Alcotest.(check int) "batch" 1000 c.Config.batch_size;
   Alcotest.(check bool) "gc" true c.Config.gc;
   Alcotest.(check bool) "annotation" true c.Config.read_annotation;
-  Alcotest.(check bool) "probe memo" true c.Config.probe_memo;
-  Alcotest.(check bool) "cc routing" true c.Config.cc_routing
+  Alcotest.(check bool) "preprocess" false c.Config.preprocess
 
 let test_config_validation () =
   Alcotest.check_raises "cc" (Invalid_argument "Config.make: cc_threads must be positive")
@@ -76,14 +73,19 @@ let test_config_validation () =
 (* --- Version chains (on the real runtime: plain data structure tests) --- *)
 
 (* Build v0 <- v1(ts=10) <- v2(ts=20) with end stamps set as the engine's
-   CC threads would. *)
+   CC threads would: a bulk-loaded tail under two slab entries. *)
 let build_chain () =
+  let al = Version.alloc_make ~owner:0 () in
   let v0 = Version.initial (vi 0) in
-  let v1 = Version.placeholder ~ts:10 ~producer:1 ~prev:v0 in
+  let v1 = Version.slab_placeholder al ~batch:0 ~ts:10 ~producer:1 ~prev:v0 in
   Version.set_end_ts v0 10;
-  let v2 = Version.placeholder ~ts:20 ~producer:2 ~prev:v1 in
+  let v2 = Version.slab_placeholder al ~batch:0 ~ts:20 ~producer:2 ~prev:v1 in
   Version.set_end_ts v1 20;
   (v0, v1, v2)
+
+(* Condition-3 truncation from [v]; the number of versions dropped. *)
+let truncate v ~gc_ts =
+  fst (Version.truncate_retire (Version.alloc_make ~owner:0 ()) v ~gc_ts)
 
 let same_version a b = a == b
 
@@ -122,19 +124,19 @@ let test_version_truncate () =
   let _, v1, v2 = build_chain () in
   (* gc_ts = 15: v1 (begin 10) is the newest version visible at 15; v0 is
      unreachable for any running transaction and must be cut. *)
-  let dropped = Version.truncate_older_than v2 ~gc_ts:15 in
+  let dropped = truncate v2 ~gc_ts:15 in
   Alcotest.(check int) "dropped one" 1 dropped;
   Alcotest.(check int) "chain shortened" 2 (Version.chain_length v2);
   Alcotest.(check bool) "keeper cut its prev" true
     (Version.prev v1 = None);
   (* Idempotent. *)
   Alcotest.(check int) "truncate again drops nothing" 0
-    (Version.truncate_older_than v2 ~gc_ts:15)
+    (truncate v2 ~gc_ts:15)
 
 let test_version_truncate_keeps_visible () =
   let _, _, v2 = build_chain () in
   (* gc_ts above every version: only the head survives. *)
-  ignore (Version.truncate_older_than v2 ~gc_ts:100);
+  ignore (truncate v2 ~gc_ts:100);
   Alcotest.(check int) "head only" 1 (Version.chain_length v2);
   (* The head is still visible to current and future readers. *)
   Alcotest.(check bool) "head visible" true (Version.visible_at v2 ~ts:100 <> None)
@@ -143,7 +145,7 @@ let test_version_truncate_nothing_old_enough () =
   let _, _, v2 = build_chain () in
   (* gc_ts older than every non-initial version: only versions below the
      initial one (none) can go. *)
-  Alcotest.(check int) "nothing dropped" 0 (Version.truncate_older_than v2 ~gc_ts:5);
+  Alcotest.(check int) "nothing dropped" 0 (truncate v2 ~gc_ts:5);
   Alcotest.(check int) "chain intact" 3 (Version.chain_length v2)
 
 (* --- basics --- *)
@@ -430,22 +432,18 @@ let test_no_gc_keeps_all_versions () =
 (* --- probe-once memoization and the preprocessing pipeline --- *)
 
 let test_probe_once_per_footprint_key () =
-  (* Single-key RMW transactions: on the memoized path the index is
-     probed exactly once per transaction (read annotation and write
-     insertion share the slot handle); the re-probing path pays twice. *)
+  (* Single-key RMW transactions: the index is probed exactly once per
+     transaction (read annotation and write insertion share the slot
+     handle). *)
   let n = 200 in
   let txns = Array.init n (fun i -> incr_txn i (key (i mod 32)) 1) in
-  let probes memo =
+  let probes =
     Sim.run (fun () ->
-        let db =
-          Sim_engine.create (default_config ~probe_memo:memo ()) ~tables
-            init_zero
-        in
+        let db = Sim_engine.create (default_config ()) ~tables init_zero in
         ignore (Sim_engine.run db txns);
         Sim_engine.index_probes db)
   in
-  Alcotest.(check int) "memoized: one probe per txn" n (probes true);
-  Alcotest.(check int) "re-probe: two probes per txn" (2 * n) (probes false)
+  Alcotest.(check int) "one probe per txn" n probes
 
 let test_probe_once_with_preprocess () =
   (* With the pipeline stage on, preprocessing resolves every slot and
@@ -497,9 +495,9 @@ let test_preprocess_pipelines_ahead_of_cc () =
         (cc0 > 0. && pre > 0. && cc0 < pre))
     [ 0; 1; 2; 3; 4 ]
 
-let prop_equivalence_across_probe_and_preprocess_combos =
+let prop_equivalence_across_preprocess_modes =
   QCheck.Test.make ~count:10
-    ~name:"all probe_memo x preprocess combos equal serial order"
+    ~name:"preprocess on and off equal serial order"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create ~seed in
@@ -507,12 +505,11 @@ let prop_equivalence_across_probe_and_preprocess_combos =
       let reference = Reference.create ~tables init_zero in
       ignore (Reference.run reference txns);
       List.for_all
-        (fun (preprocess, probe_memo) ->
+        (fun preprocess ->
           Sim.run ~jitter:(Rng.create ~seed:(seed + 17)) (fun () ->
               let db =
                 Sim_engine.create
-                  (default_config ~cc:3 ~ex:3 ~batch:16 ~preprocess
-                     ~probe_memo ())
+                  (default_config ~cc:3 ~ex:3 ~batch:16 ~preprocess ())
                   ~tables init_zero
               in
               ignore (Sim_engine.run db txns);
@@ -524,20 +521,20 @@ let prop_equivalence_across_probe_and_preprocess_combos =
                 then ok := false
               done;
               !ok))
-        [ (false, false); (false, true); (true, false); (true, true) ])
+        [ false; true ])
 
-(* --- batch-routed dispatch and version recycling --- *)
+(* --- batch-routed dispatch --- *)
 
 (* Chains, committed counts and the chain audit from one simulated run.
-   GC off keeps chain structure deterministic across configurations (GC
-   truncation depth depends on scheduling), so routed and scan runs must
-   agree exactly. *)
-let routed_fingerprint ~routing ~seed txns =
+   Preprocessing on routes each CC thread its dense slice; off, every CC
+   thread scans the batch. GC off keeps chain structure deterministic
+   across configurations (GC truncation depth depends on scheduling), so
+   routed and scan runs must agree exactly. *)
+let routed_fingerprint ~preprocess ~seed txns =
   Sim.run ~jitter:(Rng.create ~seed) (fun () ->
       let db =
         Sim_engine.create
-          (default_config ~cc:3 ~ex:3 ~batch:16 ~gc:false ~preprocess:true
-             ~routing ())
+          (default_config ~cc:3 ~ex:3 ~batch:16 ~gc:false ~preprocess ())
           ~tables init_zero
       in
       let stats = Sim_engine.run db txns in
@@ -563,10 +560,10 @@ let prop_routed_equals_scan_dispatch =
       let rng = Rng.create ~seed in
       let txns = Array.init 150 (fun i -> random_rmw_txn rng i) in
       let committed_r, values_r, chains_r, clean_r =
-        routed_fingerprint ~routing:true ~seed:(seed + 5) txns
+        routed_fingerprint ~preprocess:true ~seed:(seed + 5) txns
       in
       let committed_s, values_s, chains_s, clean_s =
-        routed_fingerprint ~routing:false ~seed:(seed + 5) txns
+        routed_fingerprint ~preprocess:false ~seed:(seed + 5) txns
       in
       clean_r && clean_s
       && committed_r = committed_s
@@ -574,8 +571,8 @@ let prop_routed_equals_scan_dispatch =
       && chains_r = chains_s)
 
 let test_routed_serialization_check_sim () =
-  (* Randomized contended workload with routing, freelists and GC all on:
-     the run must be provably serializable and its chains clean. *)
+  (* Randomized contended workload with routing and GC on: the run must
+     be provably serializable and its chains clean. *)
   let w =
     Bohm_harness.Serialization_check.make_workload ~rows:48 ~txns:300
       ~rmws_per_txn:2 ~reads_per_txn:2 ~seed:7
@@ -635,11 +632,10 @@ let test_routed_serialization_check_real () =
 let test_real_routed_equals_scan () =
   let rng = Rng.create ~seed:909 in
   let txns = Array.init 250 (fun i -> random_rmw_txn rng i) in
-  let run routing =
+  let run preprocess =
     let db =
       Real_engine.create
-        (default_config ~cc:3 ~ex:3 ~batch:32 ~gc:false ~preprocess:true
-           ~routing ())
+        (default_config ~cc:3 ~ex:3 ~batch:32 ~gc:false ~preprocess ())
         ~tables init_zero
     in
     let stats = Real_engine.run db txns in
@@ -654,102 +650,6 @@ let test_real_routed_equals_scan () =
   Alcotest.(check int) "committed equal" committed_s committed_r;
   Alcotest.(check (array int)) "values equal" values_s values_r;
   Alcotest.(check (array int)) "chains equal" chains_s chains_r
-
-(* Freelist soundness at the version level: truncation hands back exactly
-   the records below the keeper, none of which any live reader can still
-   reach, and recycling reinitializes a record as a fresh placeholder. *)
-let test_truncate_collect_returns_unreachable () =
-  let v0, v1, v2 = build_chain () in
-  let v3 = Version.placeholder ~ts:30 ~producer:3 ~prev:v2 in
-  Version.set_end_ts v2 30;
-  (* gc_ts = 25: v2 (begin 20) is the keeper; v1 and v0 are unlinked. *)
-  let dropped = Version.truncate_collect v3 ~gc_ts:25 in
-  Alcotest.(check int) "two dropped" 2 (List.length dropped);
-  Alcotest.(check bool) "v0 collected" true (List.memq v0 dropped);
-  Alcotest.(check bool) "v1 collected" true (List.memq v1 dropped);
-  Alcotest.(check int) "chain shortened" 2 (Version.chain_length v3);
-  (* Condition 3: only transactions with ts <= gc_ts could ever have seen
-     the dropped records, and those have all finished. Every later reader
-     must resolve to a surviving version. *)
-  for ts = 20 to 60 do
-    match Version.visible_at v3 ~ts with
-    | None -> Alcotest.failf "no version visible at %d" ts
-    | Some v ->
-        Alcotest.(check bool)
-          (Printf.sprintf "ts=%d resolves to a survivor" ts)
-          false (List.memq v dropped)
-  done;
-  (* Collecting again finds nothing. *)
-  Alcotest.(check int) "idempotent" 0
-    (List.length (Version.truncate_collect v3 ~gc_ts:25))
-
-let test_recycle_reinitializes_record () =
-  let _, v1, v2 = build_chain () in
-  let dropped = Version.truncate_collect v2 ~gc_ts:15 in
-  Alcotest.(check bool) "v0 reclaimed" true (List.length dropped = 1);
-  let r = List.hd dropped in
-  let recycled = Version.recycle r ~ts:40 ~producer:4 ~prev:v2 in
-  Alcotest.(check bool) "same record reused" true (recycled == r);
-  Alcotest.(check int) "begin stamped" 40 (Version.begin_ts recycled);
-  Alcotest.(check int) "end at infinity" Version.infinity_ts
-    (Version.get_end_ts recycled);
-  Alcotest.(check bool) "data empty" true
-    (Bohm_runtime.Real.Cell.get (Version.data_cell recycled) = None);
-  Alcotest.(check bool) "producer recorded" true
-    (Version.producer recycled = Some 4);
-  Alcotest.(check bool) "linked to prev" true
-    (match Version.prev recycled with Some p -> p == v2 | None -> false);
-  (* The old chain is untouched: v1 still heads a 2-version chain. *)
-  Alcotest.(check int) "old chain intact" 2 (Version.chain_length v2);
-  Alcotest.(check bool) "keeper's prev stays cut" true
-    (Version.prev v1 = None)
-
-let test_recycling_engine_counts_and_state () =
-  (* Hot-key RMWs with small batches: Condition-3 truncation feeds the
-     freelists, later inserts drain them, and the final state and chain
-     audit are unaffected. Routing is on by default; preprocess off shows
-     the freelist works independently of dense dispatch. *)
-  let txns = List.init 2000 (fun i -> incr_txn i (key 1) 1) in
-  let value, stats, clean, chain =
-    Sim.run (fun () ->
-        let db =
-          Sim_engine.create
-            (default_config ~batch:64 ~slabs:false ())
-            ~tables init_zero
-        in
-        let stats = Sim_engine.run db (Array.of_list txns) in
-        let report = Bohm_analysis.Report.create () in
-        Sim_engine.check_chains db report;
-        ( Value.to_int (Sim_engine.read_latest db (key 1)),
-          stats,
-          Bohm_analysis.Report.is_clean report,
-          Sim_engine.chain_length db (key 1) ))
-  in
-  Alcotest.(check int) "value correct" 2000 value;
-  let extra name =
-    match Stats.extra stats name with Some f -> int_of_float f | None -> 0
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "recycled versions, got %d" (extra "versions_recycled"))
-    true
-    (extra "versions_recycled" > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "recycles (%d) bounded by collections (%d)"
-       (extra "versions_recycled") (extra "gc_collected"))
-    true
-    (extra "versions_recycled" <= extra "gc_collected");
-  Alcotest.(check bool) "chains clean" true clean;
-  Alcotest.(check bool) "chain bounded" true (chain < 2000)
-
-let test_no_recycling_without_routing () =
-  let txns = List.init 2000 (fun i -> incr_txn i (key 1) 1) in
-  let _, stats =
-    run_sim
-      ~config:(default_config ~batch:64 ~routing:false ~slabs:false ())
-      txns
-  in
-  Alcotest.(check bool) "nothing recycled" true
-    (Stats.extra stats "versions_recycled" = Some 0.)
 
 (* --- slab-arena version store --- *)
 
@@ -841,53 +741,34 @@ let test_slab_batch_boundary_closes_slab () =
     (Version.chain_length v2)
 
 let test_slab_mixed_chain_truncate () =
-  (* Chains legitimately mix heap records (the bulk-loaded tail, records
-     recycled by a slabs-off run) with slab entries above them: slab
-     truncation cuts across the boundary, counting every dropped version
-     but touching live counts only for slab entries. *)
+  (* Every chain ends in a heap record — the bulk-loaded tail — under its
+     slab entries: truncation cuts across the boundary, counting every
+     dropped version but touching live counts only for slab entries. *)
   let al = Version.alloc_make ~owner:0 () in
-  let v0 = Version.initial (vi 0) in
-  let v1 = Version.placeholder ~ts:10 ~producer:1 ~prev:v0 in
-  Version.set_end_ts v0 10;
-  (* Harvest a Condition-3 record from a side chain and recycle it into
-     this one, as a freelist run would have. *)
-  let s0 = Version.initial (vi 9) in
-  let s1 = Version.placeholder ~ts:4 ~producer:9 ~prev:s0 in
-  Version.set_end_ts s0 4;
-  let harvested = List.hd (Version.truncate_collect s1 ~gc_ts:8) in
-  let v2 = Version.recycle harvested ~ts:20 ~producer:2 ~prev:v1 in
-  Version.set_end_ts v1 20;
-  let head = ref v2 in
-  for i = 3 to 6 do
+  let head = ref (Version.initial (vi 0)) in
+  for i = 1 to 6 do
+    (* Versions 1-2 fill a batch-0 slab, closed when batch 1 opens the
+       slab holding versions 3-6. *)
     let v =
-      Version.slab_placeholder al ~batch:0 ~ts:(10 * i) ~producer:i
-        ~prev:!head
+      Version.slab_placeholder al ~batch:(if i <= 2 then 0 else 1)
+        ~ts:(10 * i) ~producer:i ~prev:!head
     in
     Version.set_end_ts !head (10 * i);
     head := v
   done;
   Alcotest.(check int) "mixed chain" 7 (Version.chain_length !head);
-  (* Keeper is the ts-50 slab entry: two slab entries and three heap
-     records drop; the open slab keeps two live entries, so no retire. *)
+  (* Keeper is the ts-50 slab entry: four slab entries and the heap tail
+     drop. The closed batch-0 slab drains and retires; the open batch-1
+     slab keeps two live entries. *)
   let dropped, retired = Version.truncate_retire al !head ~gc_ts:55 in
   Alcotest.(check int) "dropped across the boundary" 5 dropped;
-  Alcotest.(check int) "open slab survives" 0 retired;
+  Alcotest.(check int) "drained closed slab retires" 1 retired;
   Alcotest.(check int) "survivors" 2 (Version.chain_length !head)
-
-let test_slab_recycle_rejected () =
-  (* Slab entries die with their slab: handing one to the freelist would
-     let a recycled incarnation outlive its arena. *)
-  let al = Version.alloc_make ~owner:0 () in
-  let v0 = Version.initial (vi 0) in
-  let v1 = Version.slab_placeholder al ~batch:0 ~ts:10 ~producer:1 ~prev:v0 in
-  Alcotest.check_raises "recycle refuses slab entries"
-    (Invalid_argument "Version.recycle: slab-allocated version") (fun () ->
-      ignore (Version.recycle v1 ~ts:20 ~producer:2 ~prev:v0))
 
 let test_slab_engine_counts_and_state () =
   (* Hot-key RMWs with small batches under the slab store: GC drains
-     whole batch-shaped slabs, the freelist is never used, and the final
-     state and chain audit are unaffected. *)
+     whole batch-shaped slabs, and the final state and chain audit are
+     unaffected. *)
   let txns = List.init 2000 (fun i -> incr_txn i (key 1) 1) in
   let value, stats, clean, chain =
     Sim.run (fun () ->
@@ -914,22 +795,18 @@ let test_slab_engine_counts_and_state () =
     (extra "slabs_retired" > 0
     && extra "slabs_retired" <= extra "slabs_opened");
   Alcotest.(check bool) "gc still collects" true (extra "gc_collected" > 0);
-  Alcotest.(check int) "freelist never used" 0 (extra "versions_recycled");
   Alcotest.(check bool) "chains clean" true clean;
   Alcotest.(check bool) "chain bounded" true (chain < 2000)
 
-(* Commits, final values, chain lengths and the chain audit must be
-   identical between the slab store and the heap/freelist store: the
-   representation changes, the protocol does not. GC off keeps chain
-   structure deterministic (truncation depth depends on scheduling, and
-   the stores charge different insert costs, so virtual-time schedules
-   diverge); a second GC-on comparison checks the state-level outcomes
-   that stay schedule-independent. *)
-let slab_fingerprint ~slabs ~gc ~seed txns =
+(* Commits, final values and the chain audit of a slab-store run must
+   match serial replay ([Reference]) with GC on and off; with GC off every
+   version survives, so each key's chain is also exactly one version per
+   write plus the bulk-loaded tail. *)
+let slab_fingerprint ~gc ~seed txns =
   Sim.run ~jitter:(Rng.create ~seed) (fun () ->
       let db =
         Sim_engine.create
-          (default_config ~cc:3 ~ex:3 ~batch:16 ~gc ~preprocess:true ~slabs ())
+          (default_config ~cc:3 ~ex:3 ~batch:16 ~gc ~preprocess:true ())
           ~tables init_zero
       in
       let stats = Sim_engine.run db txns in
@@ -946,31 +823,42 @@ let slab_fingerprint ~slabs ~gc ~seed txns =
         chains,
         Bohm_analysis.Report.is_clean report ))
 
-let prop_slabs_equal_freelist =
+(* Serial replay of [txns]: final values of the 64 keys, and each key's
+   chain length with GC off (one version per write-set entry plus the
+   bulk-loaded tail). *)
+let reference_fingerprint txns =
+  let reference = Reference.create ~tables init_zero in
+  ignore (Reference.run reference txns);
+  let writes = Array.make 64 1 in
+  Array.iter
+    (fun txn ->
+      Array.iter
+        (fun k -> writes.(Key.row k) <- writes.(Key.row k) + 1)
+        txn.Txn.write_set)
+    txns;
+  ( Array.init 64 (fun i -> Value.to_int (Reference.read reference (key i))),
+    writes )
+
+let prop_slabs_equal_reference =
   QCheck.Test.make ~count:12
-    ~name:"slab store equals heap store (commits, values, chains)"
+    ~name:"slab store equals serial reference (commits, values, chains)"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create ~seed in
       let txns = Array.init 150 (fun i -> random_rmw_txn rng i) in
+      let values_ref, chains_ref = reference_fingerprint txns in
       let committed_a, values_a, chains_a, clean_a =
-        slab_fingerprint ~slabs:true ~gc:false ~seed:(seed + 11) txns
-      in
-      let committed_b, values_b, chains_b, clean_b =
-        slab_fingerprint ~slabs:false ~gc:false ~seed:(seed + 11) txns
+        slab_fingerprint ~gc:false ~seed:(seed + 11) txns
       in
       let committed_c, values_c, _, clean_c =
-        slab_fingerprint ~slabs:true ~gc:true ~seed:(seed + 11) txns
+        slab_fingerprint ~gc:true ~seed:(seed + 11) txns
       in
-      let committed_d, values_d, _, clean_d =
-        slab_fingerprint ~slabs:false ~gc:true ~seed:(seed + 11) txns
-      in
-      clean_a && clean_b && clean_c && clean_d
-      && committed_a = committed_b
-      && values_a = values_b
-      && chains_a = chains_b
-      && committed_c = committed_d
-      && values_c = values_d)
+      clean_a && clean_c
+      && committed_a = Array.length txns
+      && committed_c = Array.length txns
+      && values_a = values_ref
+      && chains_a = chains_ref
+      && values_c = values_ref)
 
 (* --- multiple runs share the database --- *)
 
@@ -1063,24 +951,25 @@ let prop_transfers_conserve =
 (* --- fill-triggered dependency wakeup --- *)
 
 (* Parking engages only at 8+ execution threads (below that the engine
-   keeps the retry discipline even with the flag on — the adaptive
-   spin-then-park policy documented in the engine), so every test that
-   must trace the waiter protocol runs with 8 execution threads. *)
+   keeps the retry discipline — the adaptive spin-then-park policy
+   documented in the engine), so every test that must trace the waiter
+   protocol runs with 8 execution threads, and [retry_execs] selects the
+   retry-list path. *)
 
-let wakeup_config ?(batch = 16) ?(gc = true) ?(preprocess = true) ~wakeup () =
-  Config.make ~cc_threads:2 ~exec_threads:8 ~batch_size:batch ~gc ~preprocess
-    ~exec_wakeup:wakeup ()
+let retry_execs = 4
+
+let wakeup_config ?(batch = 16) ?(gc = true) ?(preprocess = true) ?(execs = 8)
+    () =
+  Config.make ~cc_threads:2 ~exec_threads:execs ~batch_size:batch ~gc
+    ~preprocess ()
 
 (* Commits, final values, chain shapes and the chain audit (which
    includes the dangling-waiter check) from one simulated run. GC off
-   keeps chain structure deterministic across configurations, so wakeup
-   and retry runs must agree exactly. *)
-let wakeup_fingerprint ~wakeup ~seed txns =
+   keeps chain structure deterministic across configurations. *)
+let wakeup_fingerprint ~execs ~seed txns =
   Sim.run ~jitter:(Rng.create ~seed) (fun () ->
       let db =
-        Sim_engine.create
-          (wakeup_config ~gc:false ~wakeup ())
-          ~tables init_zero
+        Sim_engine.create (wakeup_config ~gc:false ~execs ()) ~tables init_zero
       in
       let stats = Sim_engine.run db txns in
       let report = Bohm_analysis.Report.create () in
@@ -1104,16 +993,14 @@ let prop_wakeup_equals_retry =
     (fun seed ->
       let rng = Rng.create ~seed in
       let txns = Array.init 150 (fun i -> random_rmw_txn rng i) in
-      let committed_w, values_w, chains_w, clean_w =
-        wakeup_fingerprint ~wakeup:true ~seed txns
+      let values_ref, chains_ref = reference_fingerprint txns in
+      let agrees (committed, values, chains, clean) =
+        clean
+        && committed = Array.length txns
+        && values = values_ref && chains = chains_ref
       in
-      let committed_r, values_r, chains_r, clean_r =
-        wakeup_fingerprint ~wakeup:false ~seed txns
-      in
-      clean_w && clean_r
-      && committed_w = Array.length txns
-      && committed_w = committed_r
-      && values_w = values_r && chains_w = chains_r)
+      agrees (wakeup_fingerprint ~execs:8 ~seed txns)
+      && agrees (wakeup_fingerprint ~execs:retry_execs ~seed txns))
 
 (* Lost-wakeup stress: every transaction RMWs the same key, so each batch
    is one maximal dependency chain and every fill races the next
@@ -1135,7 +1022,7 @@ let prop_no_lost_wakeup_under_hot_key_chains =
       Sim.run ~jitter:(Rng.create ~seed) (fun () ->
           let db =
             Sim_engine.create
-              (wakeup_config ~batch ~wakeup:true ())
+              (wakeup_config ~batch ())
               ~tables init_zero
           in
           let stats = Sim_engine.run db txns in
@@ -1160,7 +1047,7 @@ let test_wakeup_serialization_check_sim () =
     Sim.run (fun () ->
         let db =
           Sim_engine.create
-            (wakeup_config ~batch:32 ~wakeup:true ())
+            (wakeup_config ~batch:32 ())
             ~tables:check_tables Bohm_harness.Serialization_check.initial_value
         in
         ignore (Sim_engine.run db (Bohm_harness.Serialization_check.txns w));
@@ -1188,7 +1075,7 @@ let test_wakeup_serialization_check_real () =
   in
   let db =
     Real_engine.create
-      (wakeup_config ~batch:32 ~preprocess:false ~wakeup:true ())
+      (wakeup_config ~batch:32 ~preprocess:false ())
       ~tables:check_tables Bohm_harness.Serialization_check.initial_value
   in
   ignore (Real_engine.run db (Bohm_harness.Serialization_check.txns w));
@@ -1206,12 +1093,15 @@ let test_wakeup_serialization_check_real () =
     | v -> Bohm_harness.Serialization_check.verdict_to_string v)
 
 let test_real_wakeup_equals_retry () =
+  (* Parking (8 exec threads) and retry-list (4) runs on the real
+     runtime, each checked against serial replay. *)
   let rng = Rng.create ~seed:1117 in
   let txns = Array.init 250 (fun i -> random_rmw_txn rng i) in
-  let run wakeup =
+  let values_ref, chains_ref = reference_fingerprint txns in
+  let run execs =
     let db =
       Real_engine.create
-        (wakeup_config ~batch:32 ~gc:false ~preprocess:false ~wakeup ())
+        (wakeup_config ~batch:32 ~gc:false ~preprocess:false ~execs ())
         ~tables init_zero
     in
     let stats = Real_engine.run db txns in
@@ -1224,13 +1114,15 @@ let test_real_wakeup_equals_retry () =
     (stats.Stats.committed, values, chains,
      Bohm_analysis.Report.is_clean report)
   in
-  let committed_w, values_w, chains_w, clean_w = run true in
-  let committed_r, values_r, chains_r, clean_r = run false in
-  Alcotest.(check bool) "chains clean" true (clean_w && clean_r);
-  Alcotest.(check int) "all committed" (Array.length txns) committed_w;
-  Alcotest.(check int) "commits equal" committed_r committed_w;
-  Alcotest.(check (array int)) "values equal" values_r values_w;
-  Alcotest.(check (array int)) "chains equal" chains_r chains_w
+  List.iter
+    (fun execs ->
+      let committed, values, chains, clean = run execs in
+      let label what = Printf.sprintf "%s (exec=%d)" what execs in
+      Alcotest.(check bool) (label "chains clean") true clean;
+      Alcotest.(check int) (label "all committed") (Array.length txns) committed;
+      Alcotest.(check (array int)) (label "values equal reference") values_ref values;
+      Alcotest.(check (array int)) (label "chains equal reference") chains_ref chains)
+    [ 8; retry_execs ]
 
 let test_real_no_lost_wakeup_hot_key () =
   (* The hot-key chain stress on the real domains runtime: genuinely
@@ -1240,7 +1132,7 @@ let test_real_no_lost_wakeup_hot_key () =
   let txns = Array.init count (fun i -> incr_txn i (key 0) 1) in
   let db =
     Real_engine.create
-      (wakeup_config ~batch:8 ~preprocess:false ~wakeup:true ())
+      (wakeup_config ~batch:8 ~preprocess:false ())
       ~tables init_zero
   in
   let stats = Real_engine.run db txns in
@@ -1573,7 +1465,7 @@ let suite =
           [
             prop_serial_equivalence_under_random_schedules;
             prop_transfers_conserve;
-            prop_equivalence_across_probe_and_preprocess_combos;
+            prop_equivalence_across_preprocess_modes;
           ] );
     ( "bohm-routing",
       [
@@ -1583,14 +1475,6 @@ let suite =
           test_routed_serialization_check_real;
         Alcotest.test_case "routed equals scan (real)" `Quick
           test_real_routed_equals_scan;
-        Alcotest.test_case "truncate_collect returns unreachable" `Quick
-          test_truncate_collect_returns_unreachable;
-        Alcotest.test_case "recycle reinitializes record" `Quick
-          test_recycle_reinitializes_record;
-        Alcotest.test_case "recycling engine counters and state" `Quick
-          test_recycling_engine_counts_and_state;
-        Alcotest.test_case "no recycling without routing" `Quick
-          test_no_recycling_without_routing;
       ]
       @ qcheck [ prop_routed_equals_scan_dispatch ] );
     ( "bohm-slabs",
@@ -1603,12 +1487,10 @@ let suite =
           test_slab_batch_boundary_closes_slab;
         Alcotest.test_case "mixed heap/slab chain truncates" `Quick
           test_slab_mixed_chain_truncate;
-        Alcotest.test_case "recycle refuses slab entries" `Quick
-          test_slab_recycle_rejected;
         Alcotest.test_case "slab engine counters and state" `Quick
           test_slab_engine_counts_and_state;
       ]
-      @ qcheck [ prop_slabs_equal_freelist ] );
+      @ qcheck [ prop_slabs_equal_reference ] );
     ( "bohm-wakeup",
       [
         Alcotest.test_case "serialization check, wakeup (sim)" `Quick

@@ -223,7 +223,7 @@ let test_metrics_sheet () =
 
 (* A hand-built single-batch recording with every fold the timeline
    performs: stage wall windows (gc nested in cc), commit/steal/wakeup/
-   retry/recycle counts, blamed stall cycles, slab occupancy, imbalance,
+   retry counts, blamed stall cycles, slab occupancy, imbalance,
    vote durations. *)
 let hand_built_recorder () =
   let r = Recorder.create () in
@@ -239,7 +239,6 @@ let hand_built_recorder () =
   Buf.instant ex ~name:"steal" ~batch:0 ~ts:250;
   Buf.instant ex ~name:"wakeup" ~batch:0 ~ts:260;
   Buf.instant ex ~name:"retry_scan" ~batch:0 ~ts:270;
-  Buf.instant ex ~name:"recycle" ~batch:0 ~ts:280;
   Buf.instant ex ~name:"dep_stall:5:0:7" ~batch:0 ~value:33 ~ts:390;
   Buf.instant ex ~name:"batch_commit" ~batch:0 ~value:16 ~ts:400;
   Buf.end_span ex ~ts:400;
@@ -263,7 +262,6 @@ let test_timeline_fold () =
       Alcotest.(check int) "steals" 1 rec0.Timeline.tl_steals;
       Alcotest.(check int) "wakeups" 1 rec0.Timeline.tl_wakeups;
       Alcotest.(check int) "retry_scans" 1 rec0.Timeline.tl_retry_scans;
-      Alcotest.(check int) "recycled" 1 rec0.Timeline.tl_recycled;
       Alcotest.(check int) "dep_stall" 33 rec0.Timeline.tl_dep_stall;
       Alcotest.(check int) "slab_occ" 7 rec0.Timeline.tl_slab_occ;
       Alcotest.(check (float 0.0)) "imbalance" 1.25

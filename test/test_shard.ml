@@ -2,8 +2,8 @@
    per-shard pipelines over one shared input log, deterministic
    batch-aligned cross-shard commit (one vote round, no coordinator), the
    merged cross-shard serialization check with its lost-vote mutant, the
-   static shard profile of a batch, and the single-shard untouchedness
-   guarantee. *)
+   static shard profile of a batch, and pinned numbers for one and two
+   shards. *)
 
 module Key = Bohm_txn.Key
 module Value = Bohm_txn.Value
@@ -338,6 +338,18 @@ let test_inject_lost_vote_validation () =
       | exception Invalid_argument _ -> ());
       match Sim_engine.inject_lost_vote db ~shard:0 ~batch:(-1) with
       | () -> Alcotest.fail "negative batch accepted"
+      | exception Invalid_argument _ -> ());
+  (* A one-shard engine has no vote round to lose a vote from: the
+     injection is refused rather than silently ignored. *)
+  Sim.run (fun () ->
+      let db =
+        Sim_engine.create
+          (Config.make ~cc_threads:1 ~exec_threads:1 ())
+          ~tables:[| Table.make ~tid:0 ~name:"t" ~rows:8 ~record_bytes:8 |]
+          (fun _ -> Value.zero)
+      in
+      match Sim_engine.inject_lost_vote db ~shard:0 ~batch:0 with
+      | () -> Alcotest.fail "one-shard injection accepted"
       | exception Invalid_argument _ -> ())
 
 (* --- static shard profile --- *)
@@ -506,27 +518,90 @@ let test_sharded_chrome_export () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "sharded trace invalid: %s" e
 
-(* --- single-shard untouchedness --- *)
+(* --- pinned shard counts --- *)
 
-(* shards=1 must be charge-for-charge the engine from before the shard
-   layer existed: same virtual time, same stats, same extras. *)
-let test_single_shard_untouched () =
-  let rows = 256 in
-  let txns =
-    Ycsb.generate ~rows ~theta:0.0 ~count:500 ~seed:41 (Ycsb.rmw_profile 4)
+(* One small run per shard count, every modeled number pinned: virtual
+   time (exact, as a hex float), commits, the full extras list and, at two
+   shards, the vote log. shards=1 runs an 8-wide exec pool (the parking
+   path), shards=2 a 3-wide one (the retry-list path plus the vote round),
+   so a charge that moves on either path of the driver shows up here. *)
+let pinned_run ~shards ~exec txns =
+  Sim.run (fun () ->
+      let db =
+        Sim_engine.create
+          (Config.make ~cc_threads:2 ~exec_threads:exec ~batch_size:50 ~shards
+             ~preprocess:true ())
+          ~tables:(ycsb_tables 512) Ycsb.initial_value
+      in
+      let stats = Sim_engine.run db txns in
+      (stats, Sim_engine.vote_log db))
+
+let test_shard_counts_pinned () =
+  let rows = 512 in
+  let check_pinned label (stats, votes) ~elapsed ~extra ~vote_log =
+    Alcotest.(check (float 0.0)) (label ^ " virtual time") elapsed
+      stats.Stats.elapsed;
+    Alcotest.(check int) (label ^ " commits") 400 stats.Stats.committed;
+    Alcotest.(check (list (pair string (float 0.0))))
+      (label ^ " extras") extra stats.Stats.extra;
+    Alcotest.(check (list (pair (pair int int) (pair bool bool))))
+      (label ^ " vote log") vote_log
+      (List.map (fun (s, b, local, merged) -> ((s, b), (local, merged))) votes)
   in
-  let spec =
-    { Runner.tables = ycsb_tables rows; init = Ycsb.initial_value }
-  in
-  let a = Runner.run_bohm_sim ~cc:2 ~exec:4 ~preprocess:true spec txns in
-  let b =
-    Runner.run_bohm_sim ~cc:2 ~exec:4 ~shards:1 ~preprocess:true spec txns
-  in
-  Alcotest.(check (float 0.0)) "same virtual time" a.Stats.elapsed b.Stats.elapsed;
-  Alcotest.(check int) "same commits" a.Stats.committed b.Stats.committed;
-  Alcotest.(check bool) "same extras" true (a.Stats.extra = b.Stats.extra);
-  Alcotest.(check bool) "no vote stats on single shard" true
-    (List.assoc_opt "shard_votes" a.Stats.extra = None)
+  check_pinned "shards=1"
+    (pinned_run ~shards:1 ~exec:8
+       (Ycsb.generate ~rows ~theta:0.8 ~count:400 ~seed:41
+          (Ycsb.rmw_profile 4)))
+    ~elapsed:0x1.80b60419a6558p-13
+    ~extra:
+      [
+        ("cc_batch0_start_us", 0x1.6c978d4fdf3b6p+3);
+        ("cc_imbalance_max", 0x1.23d70a3d70a3dp+0);
+        ("cc_imbalance_mean", 0x1.0cccccccccccdp+0);
+        ("cc_occ_p0", 0x1.8p+10);
+        ("cc_occ_p1", 0x1.ap+10);
+        ("dep_blocks", 0x1.e3p+8);
+        ("exec_retry_scans", 0x1.b8p+5);
+        ("gc_collected", 0x1.0cp+6);
+        ("pre_complete_us", 0x1.14f8d4fdf3b64p+5);
+        ("rebalances", 0x0p+0);
+        ("segs_moved", 0x0p+0);
+        ("slabs_opened", 0x1p+4);
+        ("slabs_retired", 0x0p+0);
+        ("steals", 0x1.08p+7);
+        ("wakeups", 0x1.ap+5);
+      ]
+    ~vote_log:[];
+  check_pinned "shards=2"
+    (pinned_run ~shards:2 ~exec:3
+       (Ycsb.generate_sharded ~rows ~theta:0.8 ~count:400 ~seed:41 ~shards:2
+          ~cross_fraction:0.1 (Ycsb.rmw_profile 4)))
+    ~elapsed:0x1.22b9e0ae4d7d3p-13
+    ~extra:
+      [
+        ("cc_batch0_start_us", 0x1.6333333333333p+3);
+        ("cc_imbalance_max", 0x1.39f656f1826a4p+0);
+        ("cc_imbalance_mean", 0x1.15fb6daab3e2ep+0);
+        ("cc_occ_p0", 0x1.768p+10);
+        ("cc_occ_p1", 0x1.a98p+10);
+        ("cross_shard_txns", 0x1.bp+5);
+        ("dep_blocks", 0x1.68p+8);
+        ("exec_retry_scans", 0x1.9bp+8);
+        ("gc_collected", 0x1.08p+5);
+        ("pre_complete_us", 0x1.8cccccccccccdp+4);
+        ("rebalances", 0x0p+0);
+        ("segs_moved", 0x0p+0);
+        ("shard_votes", 0x1p+4);
+        ("slabs_opened", 0x1p+5);
+        ("slabs_retired", 0x0p+0);
+        ("steals", 0x1.14p+7);
+        ("vote_aborts", 0x0p+0);
+        ("wakeups", 0x0p+0);
+      ]
+    ~vote_log:
+      (List.concat_map
+         (fun s -> List.init 8 (fun b -> ((s, b), (true, true))))
+         [ 0; 1 ])
 
 (* --- the vote board primitive --- *)
 
@@ -567,8 +642,8 @@ let () =
           Alcotest.test_case "matches single shard" `Quick
             test_sharded_matches_single_shard;
           Alcotest.test_case "chain audit" `Quick test_sharded_chain_audit;
-          Alcotest.test_case "single shard untouched" `Quick
-            test_single_shard_untouched;
+          Alcotest.test_case "shard counts 1 and 2 pinned" `Quick
+            test_shard_counts_pinned;
         ] );
       ( "serialization",
         [
