@@ -525,53 +525,66 @@ let test_sharded_chrome_export () =
    shards, the vote log. shards=1 runs an 8-wide exec pool (the parking
    path), shards=2 a 3-wide one (the retry-list path plus the vote round),
    so a charge that moves on either path of the driver shows up here. *)
-let pinned_run ~shards ~exec txns =
+let pinned_rows = 512
+
+let pinned_run ?shards ~exec txns =
   Sim.run (fun () ->
       let db =
         Sim_engine.create
-          (Config.make ~cc_threads:2 ~exec_threads:exec ~batch_size:50 ~shards
+          (Config.make ~cc_threads:2 ~exec_threads:exec ~batch_size:50 ?shards
              ~preprocess:true ())
-          ~tables:(ycsb_tables 512) Ycsb.initial_value
+          ~tables:(ycsb_tables pinned_rows) Ycsb.initial_value
       in
       let stats = Sim_engine.run db txns in
       (stats, Sim_engine.vote_log db))
 
-let test_shard_counts_pinned () =
-  let rows = 512 in
-  let check_pinned label (stats, votes) ~elapsed ~extra ~vote_log =
-    Alcotest.(check (float 0.0)) (label ^ " virtual time") elapsed
-      stats.Stats.elapsed;
-    Alcotest.(check int) (label ^ " commits") 400 stats.Stats.committed;
-    Alcotest.(check (list (pair string (float 0.0))))
-      (label ^ " extras") extra stats.Stats.extra;
-    Alcotest.(check (list (pair (pair int int) (pair bool bool))))
-      (label ^ " vote log") vote_log
-      (List.map (fun (s, b, local, merged) -> ((s, b), (local, merged))) votes)
+let check_pinned label (stats, votes) ~elapsed ~extra ~vote_log =
+  Alcotest.(check (float 0.0)) (label ^ " virtual time") elapsed
+    stats.Stats.elapsed;
+  Alcotest.(check int) (label ^ " commits") 400 stats.Stats.committed;
+  Alcotest.(check (list (pair string (float 0.0))))
+    (label ^ " extras") extra stats.Stats.extra;
+  Alcotest.(check (list (pair (pair int int) (pair bool bool))))
+    (label ^ " vote log") vote_log
+    (List.map (fun (s, b, local, merged) -> ((s, b), (local, merged))) votes)
+
+
+(* shards=1 is the default and carries none of the shard layer: the run
+   with no [~shards] and the explicit shards=1 run both hit the pinned
+   numbers, with no cross-shard counter among the extras and no vote. *)
+let test_single_shard_untouched () =
+  let txns =
+    Ycsb.generate ~rows:pinned_rows ~theta:0.8 ~count:400 ~seed:41
+      (Ycsb.rmw_profile 4)
   in
-  check_pinned "shards=1"
-    (pinned_run ~shards:1 ~exec:8
-       (Ycsb.generate ~rows ~theta:0.8 ~count:400 ~seed:41
-          (Ycsb.rmw_profile 4)))
-    ~elapsed:0x1.80b60419a6558p-13
-    ~extra:
-      [
-        ("cc_batch0_start_us", 0x1.6c978d4fdf3b6p+3);
-        ("cc_imbalance_max", 0x1.23d70a3d70a3dp+0);
-        ("cc_imbalance_mean", 0x1.0cccccccccccdp+0);
-        ("cc_occ_p0", 0x1.8p+10);
-        ("cc_occ_p1", 0x1.ap+10);
-        ("dep_blocks", 0x1.e3p+8);
-        ("exec_retry_scans", 0x1.b8p+5);
-        ("gc_collected", 0x1.0cp+6);
-        ("pre_complete_us", 0x1.14f8d4fdf3b64p+5);
-        ("rebalances", 0x0p+0);
-        ("segs_moved", 0x0p+0);
-        ("slabs_opened", 0x1p+4);
-        ("slabs_retired", 0x0p+0);
-        ("steals", 0x1.08p+7);
-        ("wakeups", 0x1.ap+5);
-      ]
-    ~vote_log:[];
+  List.iter
+    (fun (label, shards) ->
+      check_pinned label
+        (pinned_run ?shards ~exec:8 txns)
+        ~elapsed:0x1.80b60419a6558p-13
+        ~extra:
+          [
+            ("cc_batch0_start_us", 0x1.6c978d4fdf3b6p+3);
+            ("cc_imbalance_max", 0x1.23d70a3d70a3dp+0);
+            ("cc_imbalance_mean", 0x1.0cccccccccccdp+0);
+            ("cc_occ_p0", 0x1.8p+10);
+            ("cc_occ_p1", 0x1.ap+10);
+            ("dep_blocks", 0x1.e3p+8);
+            ("exec_retry_scans", 0x1.b8p+5);
+            ("gc_collected", 0x1.0cp+6);
+            ("pre_complete_us", 0x1.14f8d4fdf3b64p+5);
+            ("rebalances", 0x0p+0);
+            ("segs_moved", 0x0p+0);
+            ("slabs_opened", 0x1p+4);
+            ("slabs_retired", 0x0p+0);
+            ("steals", 0x1.08p+7);
+            ("wakeups", 0x1.ap+5);
+          ]
+        ~vote_log:[])
+    [ ("default shards", None); ("shards=1", Some 1) ]
+
+let test_two_shards_pinned () =
+  let rows = pinned_rows in
   check_pinned "shards=2"
     (pinned_run ~shards:2 ~exec:3
        (Ycsb.generate_sharded ~rows ~theta:0.8 ~count:400 ~seed:41 ~shards:2
@@ -642,8 +655,10 @@ let () =
           Alcotest.test_case "matches single shard" `Quick
             test_sharded_matches_single_shard;
           Alcotest.test_case "chain audit" `Quick test_sharded_chain_audit;
-          Alcotest.test_case "shard counts 1 and 2 pinned" `Quick
-            test_shard_counts_pinned;
+          Alcotest.test_case "single shard untouched" `Quick
+            test_single_shard_untouched;
+          Alcotest.test_case "two shards pinned" `Quick
+            test_two_shards_pinned;
         ] );
       ( "serialization",
         [
