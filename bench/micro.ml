@@ -65,7 +65,7 @@ let chain_walk_bench =
         (ts + 1)
   in
   let head = extend (Version.initial Value.zero) 1 in
-  Test.make ~name:"chain-walk(64 versions)"
+  Test.make ~name:"chain-walk-slab(64 versions)"
     (Staged.stage (fun () -> Version.visible_at head ~ts:0))
 
 let chain_annotated_bench =
@@ -168,7 +168,7 @@ let charged_chain_walk () =
 
 let print_charged_chain_walk () =
   Printf.printf "  %-36s %10d cycles/walk (simulator cost model)\n\n"
-    "chain-walk(64 versions)" (charged_chain_walk ())
+    "chain-walk-slab(64 versions)" (charged_chain_walk ())
 
 (* Host cost of one simulator step. Sixteen threads repeat one operation
    in lockstep, so nearly every operation hands the CPU to the scheduler:

@@ -73,7 +73,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        entries it owns, encoded as read-set index, or read-set length +
        write-set index. Written by one preprocessor thread and published
        to the CC threads through the [pre_done] watermark. *)
-    mutable owned_keys : int array array;
+    owned_keys : int array array;
     (* Sharding metadata, computed at wrap time from the declared
        footprint (host-side, free): the bitmask of shards owning at least
        one footprint key, and the home shard — the shard of the first
@@ -346,14 +346,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       fp_keys;
       fp_enc;
       fp_mask = mask;
-      (* Sharded preprocessing writes its shard's [shards * m] slice block
-         in place (each shard's preprocessors own disjoint slots,
-         published through that shard's [pre_done]), so the array must
-         exist before any shard stamps it. The single-shard path keeps
-         the empty array so the [stamp_failure] handshake check still
-         fires on an unstamped wrapper. *)
+      (* Preprocessing writes each shard's [m]-slot slice block in place
+         (each shard's preprocessors own disjoint slots, published
+         through that shard's [pre_done]), so the array must exist
+         before any shard stamps it. *)
       owned_keys =
-        (if shards > 1 && t.config.Config.preprocess then
+        (if t.config.Config.preprocess then
            Array.make (shards * t.config.Config.cc_threads) [||]
          else [||]);
       owners;
@@ -468,25 +466,13 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
       end
     end
 
-  (* A transaction the CC layer reached before preprocessing stamped it:
-     the [pre_done] watermark handshake broke. Structured so sanitized
-     runs can localize the failure to a pipeline coordinate. *)
-  let stamp_failure ~batch ~partition ~idx =
-    invalid_arg
-      (Printf.sprintf
-         "Bohm: pipeline handshake failure: concurrency-control partition \
-          %d reached txn %d of batch %d before preprocessing stamped it"
-         partition idx batch)
-
   (* Apply the footprint entries partition [gpart] owns in [w], as
      computed by preprocessing and delivered by a routing buffer — no
      per-transaction scan (the Amdahl term of 3.2.2). [gpart] is the
-     partition's index into [owned_keys]: the partition id itself with one
-     shard, [shard * cc_threads + partition] with several (each shard's
-     preprocessors stamp their own slice block). *)
-  let cc_apply_owned t gpart stat low_watermark ~batch ~idx w =
-    if Array.length w.owned_keys = 0 then
-      stamp_failure ~batch ~partition:gpart ~idx;
+     partition's index into [owned_keys], [shard * cc_threads +
+     partition] (each shard's preprocessors stamp their own slice
+     block). *)
+  let cc_apply_owned t gpart stat low_watermark w =
     let n_rs = Array.length w.txn.Txn.read_set in
     let mine = w.owned_keys.(gpart) in
     R.work
@@ -639,19 +625,14 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
               incr owned_here
             end)
           ws;
-        if sh.sh_n = 1 then
-          w.owned_keys <-
-            Array.map (fun l -> Array.of_list (List.rev l)) scratch
-        else begin
-          (* Disjoint slice block per shard, published through this
-             shard's [pre_done] exactly like the single-shard stamps. *)
-          let base = sh.sh_id * m in
-          for p = 0 to m - 1 do
-            w.owned_keys.(base + p) <- Array.of_list (List.rev scratch.(p))
-          done;
-          if multi_shard w && !owned_here > 0 then
-            R.work (!Bohm_runtime.Costs.shard_route * !owned_here)
-        end;
+        (* Disjoint slice block per shard, published through this
+           shard's [pre_done]. *)
+        let base = sh.sh_id * m in
+        for p = 0 to m - 1 do
+          w.owned_keys.(base + p) <- Array.of_list (List.rev scratch.(p))
+        done;
+        if multi_shard w && !owned_here > 0 then
+          R.work (!Bohm_runtime.Costs.shard_route * !owned_here);
         let appended = ref 0 in
         for p = 0 to m - 1 do
           if scratch.(p) <> [] then begin
@@ -790,9 +771,7 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
           Array.sort (fun (a : int) b -> compare a b) routed;
           R.work (!Bohm_runtime.Costs.cc_route_merge * total);
           Array.iter
-            (fun idx ->
-              cc_apply_owned t gpart stat low_watermark ~batch:b ~idx
-                wrapped.(idx))
+            (fun idx -> cc_apply_owned t gpart stat low_watermark wrapped.(idx))
             routed
       | None ->
           let lo = b * bs and hi = min n ((b + 1) * bs) - 1 in
@@ -1840,9 +1819,11 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
        blocked transaction logic against lines already in the retrier's
        cache costs a few hundred. With one or two exec threads the ready
        work is consumed as fast as it is produced and the hand-off can
-       never amortize; measured on the high-contention fig4 workload
-       (theta 0.9, 8-byte records) the crossover sits between 4 and 8
-       exec threads, so the conservative measured edge is used. The
+       never amortize. The recorded sweep on the high-contention fig4
+       workload (theta 0.9, 8-byte records, CC=4; [BENCH_PR4.json] and
+       the historical wakeup-vs-retry table in EXPERIMENTS.md) puts the
+       crossover between 4 and 8 exec threads: +16.7% for parking at 8,
+       +5-8% at 12-20. The conservative measured edge is used. The
        [k <= 1] case is also a correctness argument, not just a cost
        one: a single execution thread completes every batch in timestamp
        order behind the CC watermark, so a needed version's producer has

@@ -43,12 +43,12 @@ module Make (R : Bohm_runtime.Runtime_intf.S) = struct
   type 'txn t = Heap of 'txn heap | Slab of 'txn slab * int
 
   and 'txn heap = {
-    mutable h_begin : int;
-    mutable h_end : int R.Cell.t;
-    mutable h_data : Bohm_txn.Value.t option R.Cell.t;
-    mutable h_producer : 'txn option;
-    mutable h_prev : 'txn t option R.Cell.t;
-    mutable h_waiters : waitq R.Cell.t;
+    h_begin : int;
+    h_end : int R.Cell.t;
+    h_data : Bohm_txn.Value.t option R.Cell.t;
+    h_producer : 'txn option;
+    h_prev : 'txn t option R.Cell.t;
+    h_waiters : waitq R.Cell.t;
   }
 
   and 'txn slab = {
